@@ -2,9 +2,12 @@
 
 Times the invariant-factor computation on differential matrices harvested
 from real complexes plus synthetic sparse matrices, then a whole-pipeline
-comparison.  Run with ``python3 benchmarks/bench_snf.py``.
+comparison.  Without the compiled kernel only the pure timings are printed.
+Run with ``python3 benchmarks/bench_snf.py``; the end-to-end benchmark with
+per-layer times is ``perfbench/run.py``.
 """
 
+import os
 import random
 import time
 
@@ -64,10 +67,13 @@ def time_kernel(fn, rows, cols, trips, repeat=3):
 
 
 def main():
-    if not compiled_kernel_available():
+    compiled = compiled_kernel_available()
+    header = f"{'matrix':38s} {'shape':>12s} {'nnz':>7s} {'pure':>9s}"
+    if compiled:
+        header += f" {'compiled':>9s} {'speedup':>8s}"
+    else:
         print("compiled kernel not built; showing pure timings only")
-    print(f"{'matrix':38s} {'shape':>12s} {'nnz':>7s} {'pure':>9s} "
-          f"{'compiled':>9s} {'speedup':>8s}")
+    print(header)
     for label, m in harvest_matrices():
         trips = [(r, c, v) for (r, c), v in m.entries.items()]
         t_pure, f_pure = time_kernel(
@@ -75,7 +81,7 @@ def main():
         )
         line = (f"{label:38s} {m.rows:>5d}x{m.cols:<6d} {m.nnz:>7d} "
                 f"{t_pure * 1e3:>8.1f}ms")
-        if _snfcore is not None:
+        if compiled:
             try:
                 t_c, f_c = time_kernel(
                     _snfcore.snf_invariant_factors, m.rows, m.cols, trips
@@ -92,23 +98,23 @@ def main():
         (cycle(8), make_truncated(3), "cycle(8)/trunc:3"),
     ):
         times = {}
-        for kernel in ("pure", "auto"):
+        for kernel in ("pure", "auto") if compiled else ("pure",):
             use_kernel(kernel)
             t0 = time.perf_counter()
             compute_all(g, a)
             times[kernel] = time.perf_counter() - t0
         use_kernel("auto")
-        print(f"  {label:24s} pure {times['pure']:.2f}s   "
-              f"compiled {times['auto']:.2f}s   "
-              f"speedup {times['pure'] / times['auto']:.2f}x")
-
-    import os
+        line = f"  {label:24s} pure {times['pure']:.2f}s"
+        if compiled:
+            line += (f"   compiled {times['auto']:.2f}s"
+                     f"   speedup {times['pure'] / times['auto']:.2f}x")
+        print(line)
 
     cores = os.cpu_count() or 1
     if cores > 1:
         print(f"\nparallel degree slices ({cores} cores):")
         g, a = cycle(9), make_truncated(3)
-        for jobs in (1, 2, min(4, cores)):
+        for jobs in sorted({1, 2, min(4, cores)}):
             t0 = time.perf_counter()
             compute_all(g, a, jobs=jobs)
             print(f"  cycle(9)/trunc:3 jobs={jobs}: {time.perf_counter() - t0:.2f}s")

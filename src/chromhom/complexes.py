@@ -7,11 +7,19 @@ minimal vertex).  The differential adds one absent edge at a time: a
 cycle-closing edge acts as the identity, a merging edge multiplies the two
 component colors through the structure constants.  The sign of adding edge e
 to subset s is (-1)^(number of edges of s with index below e).
+
+A basis is stored as runs: the states of one subset are consecutive and
+colored in a fixed order, so a subset is an offset and a count.  The map
+from subset s to s + e then depends only on how the partition changes: the
+identity on the run of s for a cycle-closing edge, or a block fixed by
+(component count, merged positions, degree) for a merging edge.  The
+differential writes these blocks at the two run offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import Algebra
@@ -23,21 +31,48 @@ class EnhancedState(NamedTuple):
     coloring: tuple[int, ...]
 
 
-@dataclass
+class BasisRun(NamedTuple):
+    """The states of one subset: positions offset .. offset + count - 1."""
+
+    mask: int
+    offset: int
+    partition: ComponentPartition
+    count: int
+
+
 class StateBasis:
     """All enhanced states of one bidegree, in deterministic order.
 
     Ordering is lexicographic by (subset bitmask, coloring vector), so bases
-    and matrices are reproducible across runs.
+    and matrices are reproducible across runs.  Only subsets with at least
+    one coloring have a run; a run's states are colored in
+    ``Cube.colorings`` order.  ``states`` and ``index`` list every state and
+    are built on first use.
     """
 
-    i: int
-    j: int
-    states: list[EnhancedState]
-    index: dict[EnhancedState, int]
+    def __init__(self, i: int, j: int, runs: list[BasisRun], cube: Cube):
+        self.i = i
+        self.j = j
+        self.runs = runs
+        self.offsets = {run.mask: run.offset for run in runs}
+        self._cube = cube
+        self._size = runs[-1].offset + runs[-1].count if runs else 0
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self._size
+
+    @cached_property
+    def states(self) -> list[EnhancedState]:
+        colorings = self._cube.colorings
+        return [
+            EnhancedState(run.mask, col)
+            for run in self.runs
+            for col in colorings(run.partition.component_count, self.j)
+        ]
+
+    @cached_property
+    def index(self) -> dict[EnhancedState, int]:
+        return {s: n for n, s in enumerate(self.states)}
 
 
 @dataclass
@@ -84,9 +119,10 @@ class IntMatrix:
 class Cube:
     """Per-(graph, algebra) caches shared by slice computations.
 
-    Caches component partitions per subset, the merge pattern per
-    (subset, edge), and coloring enumerations per (component count, degree).
-    All cached data is immutable once stored, so a Cube can be shared.
+    Caches component partitions per subset, coloring enumerations per
+    (component count, degree), and merge blocks per (component count,
+    merged positions, degree); nothing is cached per (subset, edge).  All
+    cached data is immutable once stored, so a Cube can be shared.
     """
 
     def __init__(self, g: Graph, a: Algebra):
@@ -95,9 +131,9 @@ class Cube:
         self.g = g
         self.a = a
         self._parts: dict[int, ComponentPartition] = {}
-        self._merges: dict[tuple[int, int], tuple[int, int] | None] = {}
         self._colorings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._counts: dict[tuple[int, int], int] = {}
+        self._templates: dict[tuple[int, int, int, int], list[tuple[int, int, int]]] = {}
         self._masks_by_count: list[list[int]] | None = None
 
     def part(self, subset: int) -> ComponentPartition:
@@ -116,24 +152,24 @@ class Cube:
             self._masks_by_count = buckets
         return self._masks_by_count
 
-    def merge_positions(self, subset: int, e: int) -> tuple[int, int] | None:
-        """Component positions merged when edge e joins [G:s], or None.
+    def template(self, k: int, p1: int, p2: int, j: int) -> list[tuple[int, int, int]]:
+        """Block of the map merging components p1 < p2 of k, in degree j.
 
-        None means e closes a cycle (or is a loop): the partition, and hence
-        the canonical component order, is unchanged.  Otherwise returns
-        (p1, p2) with p1 < p2; the merged component keeps position p1 and
-        later colors shift down, because components are ordered by minimal
-        vertex and the merged class inherits the smaller minimum.
+        Entries are (local row, local column, coefficient): the column
+        indexes ``colorings(k, j)``, the row indexes ``colorings(k - 1, j)``.
+        The block is the same for every subset with this merge pattern.
         """
-        key = (subset, e)
-        if key in self._merges:
-            return self._merges[key]
-        u, w = self.g.edges[e]
-        ids = self.part(subset).component_id
-        cu, cw = ids[u], ids[w]
-        res = None if cu == cw else (min(cu, cw), max(cu, cw))
-        self._merges[key] = res
-        return res
+        key = (k, p1, p2, j)
+        block = self._templates.get(key)
+        if block is None:
+            rows = {col: n for n, col in enumerate(self.colorings(k - 1, j))}
+            block = [
+                (rows[target], c, coeff)
+                for c, col in enumerate(self.colorings(k, j))
+                for target, coeff in _merge_terms(self.a, col, p1, p2)
+            ]
+            self._templates[key] = block
+        return block
 
     def colorings(self, k: int, j: int) -> list[tuple[int, ...]]:
         """All length-k basis-index tuples of total degree j, lex order."""
@@ -188,14 +224,16 @@ def enumerate_basis(
 ) -> StateBasis:
     """Basis of C^{i,j}: states with i edges and total color degree j."""
     cube = cube or Cube(g, a)
-    states: list[EnhancedState] = []
+    runs: list[BasisRun] = []
     if 0 <= i <= g.edge_count and j >= 0:
+        offset = 0
         for mask in cube.masks_by_count()[i]:
-            k = cube.part(mask).component_count
-            for col in cube.colorings(k, j):
-                states.append(EnhancedState(mask, col))
-    index = {s: n for n, s in enumerate(states)}
-    return StateBasis(i, j, states, index)
+            part = cube.part(mask)
+            count = cube.coloring_count(part.component_count, j)
+            if count:
+                runs.append(BasisRun(mask, offset, part, count))
+                offset += count
+    return StateBasis(i, j, runs, cube)
 
 
 def slice_dimension(g: Graph, a: Algebra, i: int, j: int, cube: Cube | None = None) -> int:
@@ -208,26 +246,21 @@ def slice_dimension(g: Graph, a: Algebra, i: int, j: int, cube: Cube | None = No
     )
 
 
-def _image_terms(cube: Cube, subset: int, coloring: tuple[int, ...], e: int):
-    """Unsigned per-edge image as plain (subset, coloring) tuples.
+def _merge_terms(a: Algebra, coloring: tuple[int, ...], p1: int, p2: int):
+    """Colorings and coefficients after merging components p1 < p2.
 
-    Plain tuples hash and compare equal to EnhancedState, so they can index
-    a StateBasis directly without the NamedTuple construction cost.
+    The merged component keeps position p1 and later colors shift down,
+    because components are ordered by minimal vertex and the merged class
+    inherits the smaller minimum.
     """
-    new_subset = subset | (1 << e)
-    merge = cube.merge_positions(subset, e)
-    if merge is None:
-        return (((new_subset, coloring), 1),)
-    p1, p2 = merge
-    row = cube.a.mult[coloring[p1]][coloring[p2]]
     head = coloring[:p1]
     mid = coloring[p1 + 1 : p2]
     tail = coloring[p2 + 1 :]
-    return tuple(
-        ((new_subset, head + (m,) + mid + tail), c)
-        for m, c in enumerate(row)
+    return [
+        (head + (m,) + mid + tail, c)
+        for m, c in enumerate(a.mult[coloring[p1]][coloring[p2]])
         if c
-    )
+    ]
 
 
 def per_edge_image(
@@ -243,8 +276,16 @@ def per_edge_image(
         raise IndexError(f"edge index {e} out of range")
     if state.subset >> e & 1:
         raise ValueError(f"edge {e} already in the subset")
-    terms = _image_terms(Cube(g, a), state.subset, state.coloring, e)
-    return [(EnhancedState(*s), c) for s, c in terms]
+    new_subset = state.subset | (1 << e)
+    u, w = g.edges[e]
+    ids = components(g, state.subset).component_id
+    cu, cw = sorted((ids[u], ids[w]))
+    if cu == cw:
+        return [(EnhancedState(new_subset, state.coloring), 1)]
+    return [
+        (EnhancedState(new_subset, col), c)
+        for col, c in _merge_terms(a, state.coloring, cu, cw)
+    ]
 
 
 def differential(
@@ -256,30 +297,42 @@ def differential(
     src: StateBasis | None = None,
     dst: StateBasis | None = None,
 ) -> IntMatrix:
-    """Matrix of d^{i,j}: C^{i,j} -> C^{i+1,j} over the canonical bases."""
+    """Matrix of d^{i,j}: C^{i,j} -> C^{i+1,j} over the canonical bases.
+
+    Each (source run, absent edge) pair writes one block at the two run
+    offsets, and distinct pairs write disjoint entries.  A target subset
+    without a run has no coloring of degree j, so its block is empty.
+    """
     cube = cube or Cube(g, a)
     if src is None:
         src = enumerate_basis(g, a, i, j, cube)
     if dst is None:
         dst = enumerate_basis(g, a, i + 1, j, cube)
-    n = g.edge_count
+    # (bit, bits below it, endpoints) per edge
+    edges = [(1 << e, (1 << e) - 1, u, w) for e, (u, w) in enumerate(g.edges)]
+    dst_offsets = dst.offsets
+    template = cube.template
     entries: dict[tuple[int, int], int] = {}
-    dst_index = dst.index
-    for col, (subset, coloring) in enumerate(src.states):
-        absent = ~subset & ((1 << n) - 1)
-        while absent:
-            bit = absent & -absent
-            absent ^= bit
-            e = bit.bit_length() - 1
-            sign = -1 if (subset & (bit - 1)).bit_count() & 1 else 1
-            for target, coeff in _image_terms(cube, subset, coloring, e):
-                key = (dst_index[target], col)
-                s = entries.get(key, 0) + sign * coeff
-                if s:
-                    entries[key] = s
-                else:
-                    del entries[key]
-    return IntMatrix(len(dst.states), len(src.states), entries)
+    for mask, col0, part, count in src.runs:
+        ids = part.component_id
+        k = part.component_count
+        for bit, below, u, w in edges:
+            if mask & bit:
+                continue
+            row0 = dst_offsets.get(mask | bit)
+            if row0 is None:
+                continue
+            sign = -1 if (mask & below).bit_count() & 1 else 1
+            cu, cw = ids[u], ids[w]
+            if cu == cw:
+                for t in range(count):
+                    entries[(row0 + t, col0 + t)] = sign
+            else:
+                if cu > cw:
+                    cu, cw = cw, cu
+                for r, c, v in template(k, cu, cw, j):
+                    entries[(row0 + r, col0 + c)] = sign * v
+    return IntMatrix(len(dst), len(src), entries)
 
 
 def dump_slice(g: Graph, a: Algebra, i: int, j: int) -> str:

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from chromhom.algebra import make_deformed, make_truncated
+from chromhom.algebra import make_deformed, make_truncated, parse_algebra_spec
 from chromhom.chromatic import Poly, qdim_poly
 from chromhom.complexes import (
     Cube,
@@ -13,10 +14,20 @@ from chromhom.complexes import (
     per_edge_image,
     slice_dimension,
 )
-from chromhom.graph import Graph, components, cycle
+from chromhom.graph import Graph, complete, components, cycle, polygon_with_diagonals
+from chromhom.homology import default_j_range
 
 P3 = cycle(3)
 A2 = make_truncated(2)
+SPECS = ("trunc:2", "trunc:3", "poly:-1,0,0,1", "poly:-3,-2,1")
+
+
+def random_multigraph(rng: random.Random, max_vertices: int, max_edges: int) -> Graph:
+    """Endpoints drawn independently, so loops and parallel edges occur."""
+    v = rng.randint(1, max_vertices)
+    return Graph(
+        v, tuple((rng.randrange(v), rng.randrange(v)) for _ in range(rng.randint(1, max_edges)))
+    )
 
 
 def test_enumerate_counts_match_examples():
@@ -145,3 +156,66 @@ def test_dump_slice_format():
     text = dump_slice(P3, A2, 0, 2)
     assert "state#0: subset=0b000, colors=[0, 1, 1]" in text
     assert "(0, 0, 1)" in text
+
+
+def reference_differential(g, a, src, dst) -> dict[tuple[int, int], int]:
+    """d^{i,j} built state by state from per_edge_image and the sign rule."""
+    entries: dict[tuple[int, int], int] = {}
+    for col, state in enumerate(src.states):
+        for e in range(g.edge_count):
+            if state.subset >> e & 1:
+                continue
+            sign = -1 if (state.subset & ((1 << e) - 1)).bit_count() & 1 else 1
+            for target, coeff in per_edge_image(g, a, state, e):
+                key = (dst.index[target], col)
+                entries[key] = entries.get(key, 0) + sign * coeff
+    return {k: v for k, v in entries.items() if v}
+
+
+def test_block_assembly_matches_per_state_rule():
+    rng = random.Random(11)
+    graphs = [random_multigraph(rng, 4, 6) for _ in range(30)]
+    assert any(u == w for g in graphs for u, w in g.edges)
+    assert any(len(set(g.edges)) < g.edge_count for g in graphs)
+    for g in graphs:
+        for spec in SPECS:
+            a = parse_algebra_spec(spec)
+            cube = Cube(g, a)
+            for j in default_j_range(g, a):
+                bases = [enumerate_basis(g, a, i, j, cube) for i in range(g.edge_count + 2)]
+                for i, basis in enumerate(bases[:-1]):
+                    assert len(basis) == slice_dimension(g, a, i, j, cube)
+                    pairs = [(s.subset, s.coloring) for s in basis.states]
+                    assert pairs == sorted(pairs)
+                    assert all(basis.index[s] == n for n, s in enumerate(basis.states))
+                    assert len(basis.index) == len(basis)
+                    mat = differential(g, a, i, j, cube, basis, bases[i + 1])
+                    assert (mat.rows, mat.cols) == (len(bases[i + 1]), len(basis))
+                    assert mat.entries == reference_differential(
+                        g, a, basis, bases[i + 1]
+                    ), (g, spec, i, j)
+
+
+def dump_fixtures() -> list[Graph]:
+    rng = random.Random(2024)
+    return [
+        complete(4),
+        cycle(5),
+        polygon_with_diagonals(6, [(0, 2), (0, 3)]),
+        *(random_multigraph(rng, 4, 6) for _ in range(3)),
+    ]
+
+
+def test_bases_dump_is_unchanged():
+    # SHA-256 of every dump_slice over the fixtures, recorded with the
+    # per-state assembly this block assembly replaced.
+    digest = hashlib.sha256()
+    for g in dump_fixtures():
+        for spec in SPECS:
+            a = parse_algebra_spec(spec)
+            for j in default_j_range(g, a):
+                for i in range(g.edge_count + 1):
+                    digest.update(dump_slice(g, a, i, j).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "9cd8fb868db5c952d8bc3287556fb0f32ced3842d1d7b1aa068e3b2869599611"
+    )

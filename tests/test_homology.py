@@ -175,6 +175,26 @@ def test_verify_dd_flag():
     compute_all(complete(4), A2, verify_dd=True)
 
 
+@pytest.mark.parametrize("bad_i, named_i", [(0, 0), (2, 1)])
+def test_verify_dd_names_the_broken_composite(monkeypatch, bad_i, named_i):
+    # One flipped sign in d^{bad_i,j} first breaks d^{bad_i} o d^{bad_i - 1},
+    # or d^1 o d^0 when the flip is in d^0.
+    import chromhom.homology as hom
+
+    real = hom.differential
+
+    def flipped(g, a, i, j, *args):
+        m = real(g, a, i, j, *args)
+        if (i, j) == (bad_i, 2):
+            key = min(m.entries)
+            m.entries[key] = -m.entries[key]
+        return m
+
+    monkeypatch.setattr(hom, "differential", flipped)
+    with pytest.raises(EngineError, match=rf"\(i, j\) = \({named_i}, 2\)"):
+        compute_all(complete(4), A2, verify_dd=True)
+
+
 def test_jobs_parallel_matches_serial(monkeypatch):
     # force the pool path even on single-core machines
     import chromhom.homology as hom
