@@ -13,7 +13,7 @@ import time
 
 from chromhom import _snfpure
 from chromhom.algebra import make_truncated
-from chromhom.complexes import Cube, differential, enumerate_basis
+from chromhom.complexes import Cube, IntMatrix, differential, enumerate_basis
 from chromhom.graph import complete, cycle
 from chromhom.homology import compiled_kernel_available, compute_all, use_kernel
 
@@ -45,22 +45,23 @@ def harvest_matrices():
         cases.append(biggest)
     rng = random.Random(42)
     for size, density in ((120, 0.03), (300, 0.01)):
-        entries = {}
-        for r in range(size):
-            for c in range(size):
-                if rng.random() < density:
-                    entries[(r, c)] = rng.choice([-2, -1, -1, 1, 1, 2])
-        from chromhom.complexes import IntMatrix
-
-        cases.append((f"random {size}x{size} d={density}", IntMatrix(size, size, entries)))
+        data = [
+            {
+                c: rng.choice([-2, -1, -1, 1, 1, 2])
+                for c in range(size)
+                if rng.random() < density
+            }
+            for _ in range(size)
+        ]
+        cases.append((f"random {size}x{size} d={density}", IntMatrix(size, size, data)))
     return cases
 
 
-def time_kernel(fn, rows, cols, trips, repeat=3):
+def time_kernel(fn, *args, repeat=3):
     best = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = fn(rows, cols, trips)
+        result = fn(*args)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best, result
@@ -75,16 +76,13 @@ def main():
         print("compiled kernel not built; showing pure timings only")
     print(header)
     for label, m in harvest_matrices():
-        trips = [(r, c, v) for (r, c), v in m.entries.items()]
-        t_pure, f_pure = time_kernel(
-            _snfpure.snf_invariant_factors, m.rows, m.cols, trips
-        )
+        t_pure, f_pure = time_kernel(_snfpure.snf_invariant_factors, m.data)
         line = (f"{label:38s} {m.rows:>5d}x{m.cols:<6d} {m.nnz:>7d} "
                 f"{t_pure * 1e3:>8.1f}ms")
         if compiled:
             try:
                 t_c, f_c = time_kernel(
-                    _snfcore.snf_invariant_factors, m.rows, m.cols, trips
+                    _snfcore.snf_invariant_factors, m.rows, m.cols, m.triplets()
                 )
                 assert f_c == f_pure, label
                 line += f" {t_c * 1e3:>8.1f}ms {t_pure / t_c:>7.1f}x"

@@ -1,25 +1,15 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernel is an accelerator only; the package falls back to the
-# pure-Python twin when the extension is absent (CHROMHOM_NO_EXT=1 skips it).
-ext_modules = []
-if os.environ.get("CHROMHOM_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "chromhom._snfcore",
-                    ["src/chromhom/_snfcore.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+# The compiled Smith kernel is an accelerator only: the package falls back to
+# the pure-Python twin when the extension cannot be built.  _snfcore.c is the
+# tracked Cython output of _snfcore.pyx, so building needs only a C compiler.
+setup(
+    ext_modules=[
+        Extension(
+            "chromhom._snfcore",
+            ["src/chromhom/_snfcore.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -127,8 +127,8 @@ def _parse_jrange(text: str | None):
     return range(int(lo), int(hi) + 1)
 
 
-def _check_memory(g, a, j_range, cap: int):
-    estimate = estimate_peak_bytes(g, a, j_range)
+def _check_memory(g, a, j_range, cap: int, jobs: int = 1):
+    estimate = estimate_peak_bytes(g, a, j_range, jobs)
     if estimate > cap:
         raise MemoryCapExceeded(
             f"estimated peak {estimate} bytes exceeds cap {cap}; "
@@ -140,7 +140,7 @@ def cmd_compute(args) -> int:
     g = parse_graph_spec(args.graph)
     a = parse_algebra_spec(args.algebra)
     j_range = _parse_jrange(args.jrange)
-    _check_memory(g, a, j_range, args.memory_cap)
+    _check_memory(g, a, j_range, args.memory_cap, args.jobs)
     h = compute_all(g, a, j_range=j_range, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps(h.to_json_dict()))

@@ -77,42 +77,42 @@ class StateBasis:
 
 @dataclass
 class IntMatrix:
-    """Sparse integer matrix; only nonzero entries are stored."""
+    """Sparse integer matrix by rows: ``data[r]`` maps column -> nonzero value."""
 
     rows: int
     cols: int
-    entries: dict[tuple[int, int], int]
+    data: list[dict[int, int]]
 
     def __post_init__(self):
-        if 0 in self.entries.values():
-            self.entries = {k: v for k, v in self.entries.items() if v}
+        if len(self.data) != self.rows:
+            raise ValueError("one row dict per row is required")
+        self.data = [
+            row if 0 not in row.values() else {c: v for c, v in row.items() if v}
+            for row in self.data
+        ]
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.data))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.data)
 
     def triplets(self) -> list[tuple[int, int, int]]:
-        return [(r, c, v) for (r, c), v in sorted(self.entries.items())]
+        """Nonzero entries as (row, column, value), sorted."""
+        return [(r, c, row[c]) for r, row in enumerate(self.data) for c in sorted(row)]
 
     def compose(self, other: "IntMatrix") -> "IntMatrix":
         """self @ other, exact integer product."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        rows_of_self: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in self.entries.items():
-            rows_of_self.setdefault(c, []).append((r, v))
-        out: dict[tuple[int, int], int] = {}
-        for (k, c), v in other.entries.items():
-            for r, w in rows_of_self.get(k, ()):
-                key = (r, c)
-                s = out.get(key, 0) + w * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        out = []
+        for row in self.data:
+            acc: dict[int, int] = {}
+            for k, w in row.items():
+                for c, v in other.data[k].items():
+                    acc[c] = acc.get(c, 0) + w * v
+            out.append(acc)
         return IntMatrix(self.rows, other.cols, out)
 
 
@@ -312,7 +312,7 @@ def differential(
     edges = [(1 << e, (1 << e) - 1, u, w) for e, (u, w) in enumerate(g.edges)]
     dst_offsets = dst.offsets
     template = cube.template
-    entries: dict[tuple[int, int], int] = {}
+    data: list[dict[int, int]] = [{} for _ in range(len(dst))]
     for mask, col0, part, count in src.runs:
         ids = part.component_id
         k = part.component_count
@@ -326,13 +326,13 @@ def differential(
             cu, cw = ids[u], ids[w]
             if cu == cw:
                 for t in range(count):
-                    entries[(row0 + t, col0 + t)] = sign
+                    data[row0 + t][col0 + t] = sign
             else:
                 if cu > cw:
                     cu, cw = cw, cu
                 for r, c, v in template(k, cu, cw, j):
-                    entries[(row0 + r, col0 + c)] = sign * v
-    return IntMatrix(len(dst), len(src), entries)
+                    data[row0 + r][col0 + c] = sign * v
+    return IntMatrix(len(dst), len(src), data)
 
 
 def dump_slice(g: Graph, a: Algebra, i: int, j: int) -> str:

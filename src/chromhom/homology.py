@@ -62,18 +62,17 @@ _EMPTY_SNF = SNFResult(())
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
-    if m.rows == 0 or m.cols == 0 or not m.entries:
+    if m.is_zero():
         return _EMPTY_SNF
-    triplets = [(r, c, v) for (r, c), v in m.entries.items()]
-    factors = None
     if _KERNEL == "auto" and _snfcore is not None:
+        # last row first, as the pure kernel queues them
+        rows = reversed(range(m.rows))
+        trips = ((r, c, v) for r in rows for c, v in m.data[r].items())
         try:
-            factors = _snfcore.snf_invariant_factors(m.rows, m.cols, triplets)
+            return SNFResult(tuple(_snfcore.snf_invariant_factors(m.rows, m.cols, trips)))
         except OverflowError:
-            factors = None
-    if factors is None:
-        factors = _snfpure.snf_invariant_factors(m.rows, m.cols, triplets)
-    return SNFResult(tuple(factors))
+            pass  # redone below with arbitrary precision
+    return SNFResult(tuple(_snfpure.snf_invariant_factors(m.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +307,11 @@ def _degree_batch_groups(
     return groups
 
 
+def _worker_count(jobs: int, slices: int) -> int:
+    """Pool processes ``compute_all`` runs its slices on; 1 means in-process."""
+    return min(jobs, slices, os.cpu_count() or 1)
+
+
 def compute_all(
     g: Graph,
     a: Algebra,
@@ -338,9 +342,9 @@ def compute_all(
         if any(j < 0 for j in js):
             raise ValueError("degrees are nonnegative")
 
-    groups: dict[tuple[int, int], AbelianGroup] = {}
-    workers = min(jobs, len(js), os.cpu_count() or 1)
+    workers = _worker_count(jobs, len(js))
     if workers > 1:
+        groups: dict[tuple[int, int], AbelianGroup] = {}
         sizing = Cube(g, a)
         by_size = sorted(
             js,
@@ -359,9 +363,7 @@ def compute_all(
             for fut in futures:
                 groups.update(fut.result())
     else:
-        cube = Cube(g, a)
-        for j in js:
-            groups.update(_degree_slice_groups(g, a, j, verify_dd, cube))
+        groups = _degree_batch_groups(g, a, js, verify_dd)
     return BigradedHomology(groups, a.spec, g.to_json_dict(), a.window)
 
 
@@ -378,7 +380,7 @@ def poincare_series(h: BigradedHomology):
 # rounded up; estimate_peak_bytes says what each one prices.
 _SUBSET_BYTES = 400
 _STATE_BYTES = 96
-_MATRIX_ENTRY_BYTES = 200
+_MATRIX_ENTRY_BYTES = 100
 _KERNEL_ENTRY_BYTES = 300
 # Phase-1 fill-in of the kernel's maps, as a multiple of the stored nonzeros,
 # measured on the largest differentials: at most 1.2x over trunc:2 and
@@ -387,7 +389,7 @@ _GRADED_FILL = 1.25
 _UNGRADED_FILL = 4
 
 
-def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None) -> int:
+def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> int:
     """Estimate of peak memory above the imported engine, made before any allocation.
 
     A slice reduces each differential as soon as it is built, so one matrix
@@ -399,13 +401,18 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None) -> int:
     n - i absent edges times the most terms any product of two basis
     elements has.  Past 22 edges the subset term alone is returned without
     enumerating (refining it would itself take exponential work).
+
+    When ``compute_all(..., jobs=jobs)`` would run a pool, every worker is
+    priced as a whole computation, plus (a) for the parent's sizing cube.
     """
     n = g.edge_count
-    mask_floor = (1 << n) * _SUBSET_BYTES
-    if n > 22:
-        return mask_floor
-    cube = Cube(g, a)
     js = list(default_j_range(g, a)) if j_range is None else list(j_range)
+    workers = _worker_count(jobs, len(js))
+    mask_floor = (1 << n) * _SUBSET_BYTES
+    parent = mask_floor if workers > 1 else 0
+    if n > 22:
+        return parent + workers * mask_floor
+    cube = Cube(g, a)
     terms = max(sum(1 for c in vec if c) for products in a.mult for vec in products)
     states = 0
     nnz = 0
@@ -416,7 +423,8 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None) -> int:
             nnz = max(nnz, dim * (n - i) * terms)
     fill = _GRADED_FILL if a.graded else _UNGRADED_FILL
     per_entry = _MATRIX_ENTRY_BYTES + _KERNEL_ENTRY_BYTES * fill
-    return mask_floor + states * _STATE_BYTES + int(nnz * per_entry)
+    one = mask_floor + states * _STATE_BYTES + int(nnz * per_entry)
+    return parent + workers * one
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +452,16 @@ def cokernel_oracle(generators, degree_bound: int) -> AbelianGroup:
     bound = int(degree_bound)
     if bound < 1:
         raise ValueError("degree bound must be positive")
-    entries: dict[tuple[int, int], int] = {}
+    data: list[dict[int, int]] = [{} for _ in range(bound)]
     col = 0
     for p in polys:
         deg = len(p) - 1
         for t in range(bound - deg):
             for k, c in enumerate(p):
                 if c:
-                    entries[(t + k, col)] = c
+                    data[t + k][col] = c
             col += 1
-    snf = smith_normal_form(IntMatrix(bound, col, entries))
+    snf = smith_normal_form(IntMatrix(bound, col, data))
     return AbelianGroup(
         bound - snf.rank, tuple(f for f in snf.factors if f > 1)
     )

@@ -209,12 +209,12 @@ def check_pendant(g: Graph, e: int, a: Algebra) -> CheckReport:
 
 def _unit_column_map(m: IntMatrix) -> dict[int, int] | None:
     """col -> row when every column is a single +1 entry with distinct rows."""
-    seen_rows = set()
     out: dict[int, int] = {}
-    for (r, c), v in m.entries.items():
-        if v != 1 or c in out:
-            return None
-        out[c] = r
+    for r, row in enumerate(m.data):
+        for c, v in row.items():
+            if v != 1 or c in out:
+                return None
+            out[c] = r
     if len(out) != m.cols or len(set(out.values())) != m.cols:
         return None
     return out
@@ -271,25 +271,25 @@ def check_del_contract_exactness(g: Graph, e: int, a: Algebra) -> CheckReport:
         betas = []
         for i in range(n + 1):
             # alpha: C^{i-1,j}(G/e) -> C^{i,j}(G), insert the last edge.
-            entries = {}
+            data: list[dict[int, int]] = [{} for _ in range(len(basis_g[i]))]
             if 1 <= i <= n:
                 for col, (subset, coloring) in enumerate(basis_c[i - 1].states):
                     target = (subset | last_bit, coloring)
                     row = basis_g[i].index.get(target)
                     if row is None:
                         return fail(i, j, "alpha image state missing")
-                    entries[(row, col)] = 1
+                    data[row][col] = 1
             cols_c = len(basis_c[i - 1]) if i >= 1 else 0
-            alpha = IntMatrix(len(basis_g[i]), cols_c, entries)
+            alpha = IntMatrix(len(basis_g[i]), cols_c, data)
             # beta: C^{i,j}(G) -> C^{i,j}(G-e), drop states containing e.
-            entries = {}
+            data = [{} for _ in range(len(basis_d[i]))]
             for col, (subset, coloring) in enumerate(basis_g[i].states):
                 if not subset & last_bit:
                     row = basis_d[i].index.get((subset, coloring))
                     if row is None:
                         return fail(i, j, "beta image state missing")
-                    entries[(row, col)] = 1
-            beta = IntMatrix(len(basis_d[i]), len(basis_g[i]), entries)
+                    data[row][col] = 1
+            beta = IntMatrix(len(basis_d[i]), len(basis_g[i]), data)
             alphas.append(alpha)
             betas.append(beta)
 
@@ -306,22 +306,19 @@ def check_del_contract_exactness(g: Graph, e: int, a: Algebra) -> CheckReport:
             }
             if hit_rows != with_e:
                 return fail(i, j, "image of alpha != kernel of beta")
-            surj_rows = {r for (r, _c) in beta.entries}
-            if len(surj_rows) != len(basis_d[i]) or len(beta.entries) != len(
-                basis_g[i]
-            ) - len(with_e):
+            if not all(beta.data) or beta.nnz != len(basis_g[i]) - len(with_e):
                 return fail(i, j, "beta not a surjective basis projection")
         for i in range(n):
             # d_G o alpha_i == alpha_{i+1} o d_{G/e}
             if 1 <= i:
                 left = d_g[i].compose(alphas[i])
                 right = alphas[i + 1].compose(d_c[i - 1])
-                if left.entries != right.entries:
+                if left != right:
                     return fail(i, j, "alpha is not a chain map")
             # d_{G-e} o beta_i == beta_{i+1} o d_G
             left = d_d[i].compose(betas[i])
             right = betas[i + 1].compose(d_g[i])
-            if left.entries != right.entries:
+            if left != right:
                 return fail(i, j, "beta is not a chain map")
     return CheckReport("del-contract-exactness", params, True)
 

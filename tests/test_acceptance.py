@@ -344,10 +344,10 @@ def test_criterion_11b_snf_oracle_200_matrices():
     for _ in range(200):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         dense = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        trips = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+        rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
         expected = minor_gcd_invariant_factors(dense)
-        got = list(smith_normal_form(IntMatrix(nr, nc, {(r, c): v for r, c, v in trips})).factors)
-        pure = _snfpure.snf_invariant_factors(nr, nc, trips)
+        got = list(smith_normal_form(IntMatrix(nr, nc, rows)).factors)
+        pure = _snfpure.snf_invariant_factors(rows)
         if got != expected or pure != expected:
             bad += 1
     report(11, "SNF vs minor-gcd oracle on 200 random matrices", bad == 0, t0)

@@ -140,6 +140,21 @@ def test_memory_cap_exit_3(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_memory_cap_prices_every_pool_process(capsys, monkeypatch):
+    import os
+
+    from chromhom.homology import estimate_peak_bytes
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g, a = cycle(5), make_truncated(2)
+    one, pool = estimate_peak_bytes(g, a), estimate_peak_bytes(g, a, jobs=2)
+    assert pool > one
+    args = ["compute", "--graph", "gen:cycle:5", "--algebra", "trunc:2",
+            "--memory-cap", str((one + pool) // 2)]
+    assert run_cli(capsys, *args, "--jobs", "2")[0] == 3
+    assert run_cli(capsys, *args, "--jobs", "1")[0] == 0
+
+
 def test_memory_cap_refuses_large_graphs_instantly(capsys):
     # 39 edges is legal but its subset bookkeeping floor alone exceeds the
     # default cap; the refusal must not attempt any enumeration

@@ -186,8 +186,9 @@ def test_verify_dd_names_the_broken_composite(monkeypatch, bad_i, named_i):
     def flipped(g, a, i, j, *args):
         m = real(g, a, i, j, *args)
         if (i, j) == (bad_i, 2):
-            key = min(m.entries)
-            m.entries[key] = -m.entries[key]
+            row = next(row for row in m.data if row)
+            c = min(row)
+            row[c] = -row[c]
         return m
 
     monkeypatch.setattr(hom, "differential", flipped)
@@ -202,6 +203,28 @@ def test_jobs_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(hom.os, "cpu_count", lambda: 4)
     g = complete(4)
     assert compute_all(g, A3, jobs=4).groups == compute_all(g, A3).groups
+
+
+def test_compiled_kernel_gives_the_pure_groups(compiled_snfcore, monkeypatch):
+    import types
+
+    import chromhom.homology as hom
+
+    cases = [
+        (cycle(5), A2),
+        (complete(4), A3),
+        (Graph(3, ((0, 1), (0, 1), (1, 2), (2, 0), (2, 2))), A2),
+        (complete(4), make_deformed([-1, 0, 0, 1])),
+    ]
+    monkeypatch.setattr(hom, "_KERNEL", "auto")
+    for g, a in cases:
+        monkeypatch.setattr(hom, "_snfcore", None)
+        pure = compute_all(g, a)
+        monkeypatch.setattr(hom, "_snfcore", compiled_snfcore)
+        with monkeypatch.context() as m:
+            # no fallback: every matrix here fits the compiled kernel
+            m.setattr(hom, "_snfpure", types.SimpleNamespace(snf_invariant_factors=None))
+            assert compute_all(g, a) == pure, (g, a.spec)
 
 
 def test_window_errors_above_certified_range():
@@ -314,7 +337,7 @@ def test_cokernel_oracle_requires_monic():
 
 
 def test_intmatrix_compose():
-    a = IntMatrix(2, 2, {(0, 0): 1, (1, 1): 2})
-    b = IntMatrix(2, 2, {(0, 1): 3, (1, 0): -1})
+    a = IntMatrix(2, 2, [{0: 1}, {1: 2}])
+    b = IntMatrix(2, 2, [{1: 3}, {0: -1}])
     ab = a.compose(b)
-    assert ab.entries == {(0, 1): 3, (1, 0): -2}
+    assert ab.triplets() == [(0, 1, 3), (1, 0, -2)]

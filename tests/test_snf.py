@@ -1,17 +1,19 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from oracles import minor_gcd_invariant_factors
 
+import chromhom.homology as homology
 from chromhom import _snfpure
 from chromhom.complexes import IntMatrix
 from chromhom.homology import SNFResult, smith_normal_form, use_kernel
 
-try:
-    from chromhom import _snfcore
-except ImportError:
-    _snfcore = None
+
+def dense_to_rows(m):
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
 
 
 def dense_to_triplets(m):
@@ -35,23 +37,23 @@ def random_dense(rng, nr, nc, lo=-9, hi=9, density=1.0):
 def test_diag_2_3():
     m = [[2, 0], [0, 3]]
     assert minor_gcd_invariant_factors(m) == [1, 6]
-    assert _snfpure.snf_invariant_factors(2, 2, dense_to_triplets(m)) == [1, 6]
+    assert _snfpure.snf_invariant_factors(dense_to_rows(m)) == [1, 6]
 
 
 def test_zero_matrix():
-    assert _snfpure.snf_invariant_factors(3, 4, []) == []
-    assert smith_normal_form(IntMatrix(3, 4, {})).rank == 0
+    assert _snfpure.snf_invariant_factors([{}, {}, {}]) == []
+    assert smith_normal_form(IntMatrix(3, 4, [{}, {}, {}])).rank == 0
 
 
 def test_identity():
-    trips = [(i, i, 1) for i in range(5)]
-    assert _snfpure.snf_invariant_factors(5, 5, trips) == [1] * 5
+    rows = [{i: 1} for i in range(5)]
+    assert _snfpure.snf_invariant_factors(rows) == [1] * 5
 
 
 def test_divisibility_example():
     m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     expected = minor_gcd_invariant_factors(m)
-    assert _snfpure.snf_invariant_factors(3, 3, dense_to_triplets(m)) == expected
+    assert _snfpure.snf_invariant_factors(dense_to_rows(m)) == expected
 
 
 def test_pure_against_minor_gcd_oracle():
@@ -61,22 +63,22 @@ def test_pure_against_minor_gcd_oracle():
         nc = rng.randint(1, 6)
         m = random_dense(rng, nr, nc, density=rng.choice([0.4, 0.8, 1.0]))
         expected = minor_gcd_invariant_factors(m)
-        got = _snfpure.snf_invariant_factors(nr, nc, dense_to_triplets(m))
+        rows = dense_to_rows(m)
+        got = _snfpure.snf_invariant_factors(rows)
         assert got == expected, m
+        assert rows == dense_to_rows(m), "the kernel must not change its input"
 
 
-@pytest.mark.skipif(_snfcore is None, reason="compiled kernel not built")
-def test_compiled_against_pure():
+def test_compiled_against_pure(compiled_snfcore):
     rng = random.Random(23)
     agreements = 0
     for _ in range(250):
         nr = rng.randint(1, 14)
         nc = rng.randint(1, 14)
         m = random_dense(rng, nr, nc, density=rng.choice([0.2, 0.5, 1.0]))
-        trips = dense_to_triplets(m)
-        expected = _snfpure.snf_invariant_factors(nr, nc, trips)
+        expected = _snfpure.snf_invariant_factors(dense_to_rows(m))
         try:
-            got = _snfcore.snf_invariant_factors(nr, nc, trips)
+            got = compiled_snfcore.snf_invariant_factors(nr, nc, dense_to_triplets(m))
         except OverflowError:
             continue  # legitimate fallback path
         assert got == expected, m
@@ -84,26 +86,38 @@ def test_compiled_against_pure():
     assert agreements > 150
 
 
-@pytest.mark.skipif(_snfcore is None, reason="compiled kernel not built")
-def test_compiled_overflow_falls_back():
+def test_compiled_overflow_falls_back(compiled_snfcore, monkeypatch):
     # Entries near 2^62 force checked arithmetic to give up; the dispatcher
     # must still return the exact answer via the pure kernel.
     big = 1 << 62
-    m = IntMatrix(2, 2, {(0, 0): big, (0, 1): big - 1, (1, 0): big - 3, (1, 1): big - 7})
-    res = smith_normal_form(m)
     dense = [[big, big - 1], [big - 3, big - 7]]
+    with pytest.raises(OverflowError):
+        compiled_snfcore.snf_invariant_factors(2, 2, dense_to_triplets(dense))
+    monkeypatch.setattr(homology, "_snfcore", compiled_snfcore)
+    monkeypatch.setattr(homology, "_KERNEL", "auto")
+    res = smith_normal_form(IntMatrix(2, 2, dense_to_rows(dense)))
     assert list(res.factors) == minor_gcd_invariant_factors(dense)
 
 
-def test_duplicate_triplets_accumulate():
+def test_duplicate_triplets_accumulate(compiled_snfcore):
     trips = [(0, 0, 1), (0, 0, 1), (0, 0, -2)]
-    assert _snfpure.snf_invariant_factors(1, 1, trips) == []
+    assert compiled_snfcore.snf_invariant_factors(1, 1, trips) == []
     trips = [(0, 0, 1), (0, 0, 2)]
-    assert _snfpure.snf_invariant_factors(1, 1, trips) == [3]
+    assert compiled_snfcore.snf_invariant_factors(1, 1, trips) == [3]
+
+
+def test_snfcore_pyx_is_the_source_of_the_tracked_c():
+    # _snfcore.c is Cython output of _snfcore.pyx and is built without
+    # Cython, so an edit to the .pyx needs the .c regenerated and this hash
+    # updated in the same change.
+    pyx = Path(homology.__file__).with_name("_snfcore.pyx").read_bytes()
+    assert hashlib.sha256(pyx).hexdigest() == (
+        "6e0248cf0988376a82f0f90ec696f3214cd6fe206f7296a5de3795598a231c46"
+    )
 
 
 def test_kernel_selection_round_trip():
-    m = IntMatrix(2, 2, {(0, 0): 4, (1, 1): 6})
+    m = IntMatrix(2, 2, [{0: 4}, {1: 6}])
     use_kernel("pure")
     pure = smith_normal_form(m)
     use_kernel("auto")
@@ -122,7 +136,7 @@ def test_pure_kernel_with_huge_entries():
             for _ in range(nr)
         ]
         expected = minor_gcd_invariant_factors(m)
-        got = _snfpure.snf_invariant_factors(nr, nc, dense_to_triplets(m))
+        got = _snfpure.snf_invariant_factors(dense_to_rows(m))
         assert got == expected
 
 
@@ -131,7 +145,7 @@ def test_snf_result_invariants():
     for _ in range(60):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = random_dense(rng, nr, nc)
-        factors = _snfpure.snf_invariant_factors(nr, nc, dense_to_triplets(m))
+        factors = _snfpure.snf_invariant_factors(dense_to_rows(m))
         assert all(f >= 1 for f in factors)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
