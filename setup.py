@@ -1,7 +1,7 @@
 from setuptools import Extension, setup
 
 # The compiled Smith kernel is an accelerator only: the package falls back to
-# the pure-Python twin when the extension cannot be built.  _snfcore.c is the
+# the pure-Python kernel when the extension cannot be built.  _snfcore.c is the
 # tracked Cython output of _snfcore.pyx, so building needs only a C compiler.
 setup(
     ext_modules=[

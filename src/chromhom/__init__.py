@@ -61,7 +61,6 @@ from .homology import (
     homology_group,
     poincare_series,
     smith_normal_form,
-    use_kernel,
 )
 
 __version__ = "0.1.0"

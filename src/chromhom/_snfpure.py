@@ -1,100 +1,52 @@
 """Pure-Python Smith normal form kernel.
 
-Reference twin of the compiled kernel in ``_snfcore``: same algorithm,
-arbitrary-precision throughout, reading row dicts where ``_snfcore`` reads
-(row, column, value) triplets.  Two phases:
+The reference kernel: arbitrary precision throughout, reading the row dicts
+of ``IntMatrix``.  One sparse elimination loop diagonalizes the matrix:
 
-1. Sparse elimination of +-1 pivots.  Clearing the pivot column by row
-   operations leaves the pivot alone in its column, after which clearing the
-   pivot row by column operations touches nothing else, so the pivot row and
-   column can simply be dropped, splitting off one invariant factor 1.
-2. Classic dense Smith reduction of the small residual, pivoting on the
-   nonzero entry of minimal absolute value (ties: lowest row, then column)
-   to damp coefficient growth.
+* Pivots.  Rows are taken from a queue, last row first, and a row with a
+  +-1 entry pivots on the one whose column is sparsest.  When the queue is
+  empty no +-1 entry is left, and the pivot is an entry of least absolute
+  value, which keeps coefficients from growing.
+* Row operations clear the pivot column with floor quotients.  Remainders
+  are smaller than the pivot, so when any are left the loop goes on and a
+  smaller pivot is found; every changed row is queued again.
+* Once the pivot is alone in its column, column operations touch only the
+  pivot row.  A +-1 pivot clears it outright: the row is dropped and counted
+  as an invariant factor 1.  Any other pivot p reduces its row modulo p; if
+  nothing else is left, |p| joins the diagonal and the row is dropped,
+  otherwise the row is queued again.
+
+The diagonal found this way is not yet a divisibility chain;
+``divisibility_chain`` makes it one.  The compiled kernel in ``_snfcore``
+eliminates the +-1 pivots the same way but reduces what is left as a dense
+matrix; both return the same invariant factors.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import gcd
 
 
-def _dense_snf(matrix: list[list[int]]) -> list[int]:
-    """Invariant factors (nonzero diagonal) of a dense integer matrix.
+def divisibility_chain(diagonal) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... (ascending) of a diagonal matrix.
 
-    Every reduction round re-selects the globally minimal nonzero |entry| of
-    the active submatrix as the pivot (ties: lowest row, then column).
-    Re-selecting after each sweep is what keeps coefficient growth tame: any
-    leftover remainder is strictly smaller than the old pivot, so pivots
-    decrease until a sweep is clean.
+    ``diagonal`` holds the nonzero diagonal entries.  Replacing a pair (a, b)
+    by (gcd, lcm) keeps the group Z_a + Z_b; after the pass over all pairs
+    each entry divides every later one.  The result has the same length, so
+    1s may appear in it.
     """
-    if not matrix or not matrix[0]:
-        return []
-    m = [row[:] for row in matrix]
-    nr, nc = len(m), len(m[0])
-    factors: list[int] = []
-    t = 0
-    while t < nr and t < nc:
-        while True:
-            pr = pc = -1
-            best = None
-            for r in range(t, nr):
-                row = m[r]
-                for c in range(t, nc):
-                    v = row[c]
-                    if v:
-                        a = -v if v < 0 else v
-                        if best is None or a < best:
-                            best, pr, pc = a, r, c
-            if best is None:
-                return factors  # active submatrix is zero
-            if pr != t:
-                m[t], m[pr] = m[pr], m[t]
-            if pc != t:
-                for row in m:
-                    row[t], row[pc] = row[pc], row[t]
-            if m[t][t] < 0:
-                m[t] = [-v for v in m[t]]
-            p = m[t][t]
-            clean = True
-            prow = m[t]
-            for r in range(t + 1, nr):
-                v = m[r][t]
-                if v:
-                    q = v // p
-                    if q:
-                        row = m[r]
-                        for c in range(t, nc):
-                            row[c] -= q * prow[c]
-                    if m[r][t]:
-                        clean = False
-            for c in range(t + 1, nc):
-                v = m[t][c]
-                if v:
-                    q = v // p
-                    if q:
-                        for row in m:
-                            row[c] -= q * row[t]
-                    if m[t][c]:
-                        clean = False
-            if not clean:
-                continue
-            culprit = None
-            for r in range(t + 1, nr):
-                row = m[r]
-                for c in range(t + 1, nc):
-                    if row[c] % p:
-                        culprit = r
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            crow = m[culprit]
-            for c in range(t, nc):
-                prow[c] += crow[c]
-        factors.append(m[t][t])
-        t += 1
-    return factors
+    d = sorted(abs(v) for v in diagonal)
+    for i in range(len(d)):
+        a = d[i]
+        for k in range(i + 1, len(d)):
+            b = d[k]
+            if b % a:
+                g = gcd(a, b)
+                d[k] = a // g * b
+                a = g
+        d[i] = a
+    return d
 
 
 def snf_invariant_factors(rows) -> list[int]:
@@ -109,31 +61,43 @@ def snf_invariant_factors(rows) -> list[int]:
             colrows.setdefault(c, set()).add(r)
 
     units = 0
+    diagonal: list[int] = []
     # Last row first: of the queue orders measured on cube differentials
     # (row order, assembly order, reversed), this one was fastest.
     queue = deque(reversed(rowdata))
     queued = set(rowdata)
-    while queue:
-        r0 = queue.popleft()
-        queued.discard(r0)
-        row0 = rowdata.get(r0)
-        if not row0:
-            continue
-        c0 = None
-        best = None
-        for c, v in row0.items():
-            if v == 1 or v == -1:
-                size = len(colrows[c])
-                if best is None or size < best:
-                    best, c0 = size, c
-        if c0 is None:
-            continue
-        eps = row0[c0]
+    while rowdata:
+        if queue:
+            r0 = queue.popleft()
+            queued.discard(r0)
+            row0 = rowdata.get(r0)
+            if not row0:
+                continue
+            c0 = None
+            best = None
+            for c, v in row0.items():
+                if v == 1 or v == -1:
+                    size = len(colrows[c])
+                    if best is None or size < best:
+                        best, c0 = size, c
+            if c0 is None:
+                continue
+        else:
+            # No +-1 entry is left: pivot on one of least absolute value.
+            best = None
+            for r, row in rowdata.items():
+                for c, v in row.items():
+                    a = -v if v < 0 else v
+                    if best is None or a < best:
+                        best, r0, c0 = a, r, c
+            row0 = rowdata[r0]
+        p = row0[c0]
+        clean = True
         for s in list(colrows[c0]):
             if s == r0:
                 continue
             srow = rowdata[s]
-            q = srow[c0] * eps
+            q = srow[c0] // p
             for c, v in row0.items():
                 nv = srow.get(c, 0) - q * v
                 if nv:
@@ -144,23 +108,34 @@ def snf_invariant_factors(rows) -> list[int]:
                     if c in srow:
                         del srow[c]
                         colrows[c].discard(s)
+            if c0 in srow:
+                clean = False
             if srow:
                 if s not in queued:
                     queue.append(s)
                     queued.add(s)
             else:
                 del rowdata[s]
+        if not clean:
+            continue  # a remainder smaller than p is left in column c0
+        if p == 1 or p == -1:
+            units += 1
+        else:
+            for c, v in list(row0.items()):
+                if c != c0:
+                    nv = v % p
+                    if nv:
+                        row0[c] = nv
+                    else:
+                        del row0[c]
+                        colrows[c].discard(r0)
+            if len(row0) > 1:
+                if r0 not in queued:
+                    queue.append(r0)
+                    queued.add(r0)
+                continue
+            diagonal.append(p)
         for c in row0:
             colrows[c].discard(r0)
         del rowdata[r0]
-        units += 1
-
-    # Compact the residual into a small dense matrix.
-    rset = sorted(rowdata)
-    cset = sorted({c for row in rowdata.values() for c in row})
-    cpos = {c: k for k, c in enumerate(cset)}
-    dense = [[0] * len(cset) for _ in rset]
-    for k, r in enumerate(rset):
-        for c, v in rowdata[r].items():
-            dense[k][cpos[c]] = v
-    return [1] * units + _dense_snf(dense)
+    return [1] * units + divisibility_chain(diagonal)

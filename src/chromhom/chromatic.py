@@ -142,9 +142,6 @@ class Poly2:
     def coeff(self, i: int, j: int) -> int:
         return self.c.get((i, j), 0)
 
-    def q_poly_at_t(self, i: int) -> Poly:
-        return Poly({j: v for (ti, j), v in self.c.items() if ti == i})
-
     def __repr__(self) -> str:
         if not self.c:
             return "0"

@@ -124,7 +124,10 @@ def _parse_jrange(text: str | None):
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError("jrange must be LO:HI")
-    return range(int(lo), int(hi) + 1)
+    js = range(int(lo), int(hi) + 1)
+    if not js:
+        raise ValueError(f"jrange {text} is empty; LO must not exceed HI")
+    return js
 
 
 def _check_memory(g, a, j_range, cap: int, jobs: int = 1):
@@ -232,16 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, algebra=True):
+    def add_common(p, algebra=True, memory_cap=False):
         p.add_argument("--graph", help="gen:cycle:6 | gen:complete:4 | "
                        "gen:path:5 | gen:vgon:5:0-2,0-3 | file:g.txt")
         if algebra:
             p.add_argument("--algebra", help="trunc:m | poly:c0,c1,...,1 | window:J")
-        p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP,
-                       help="refuse computations whose estimate exceeds this many bytes")
+        if memory_cap:
+            p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP,
+                           help="refuse computations whose estimate exceeds "
+                           "this many bytes")
 
     p = sub.add_parser("compute", help="compute all cohomology groups")
-    add_common(p)
+    add_common(p, memory_cap=True)
     p.add_argument("--jrange", help="restrict internal degree, LO:HI")
     p.add_argument("--format", choices=("table", "json", "triplets"),
                    default="table")
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_chromatic)
 
     p = sub.add_parser("bases", help="dump enhanced-state bases and differential triplets")
-    add_common(p)
+    add_common(p, memory_cap=True)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     p.set_defaults(fn=cmd_bases)

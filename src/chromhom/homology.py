@@ -3,8 +3,8 @@
 H^{i,j} = ker d^{i,j} / im d^{i-1,j} is reported as a free rank plus the
 ascending invariant-factor chain of its torsion.  Smith normal form runs on
 the compiled kernel when the extension is importable (falling back per
-matrix on int64 overflow), otherwise on the pure-Python twin; both implement
-the same two-phase elimination.
+matrix on int64 overflow), otherwise on the pure-Python reference kernel;
+both return the same invariant factors.
 """
 
 from __future__ import annotations
@@ -33,14 +33,6 @@ class WindowError(ValueError):
 
 
 _KERNEL = "auto" if os.environ.get("CHROMHOM_PURE_SNF", "") in ("", "0") else "pure"
-
-
-def use_kernel(name: str) -> None:
-    """Select the SNF kernel: 'auto' (compiled when available) or 'pure'."""
-    global _KERNEL
-    if name not in ("auto", "pure"):
-        raise ValueError("kernel must be 'auto' or 'pure'")
-    _KERNEL = name
 
 
 def compiled_kernel_available() -> bool:
@@ -94,26 +86,8 @@ def _factorize(n: int) -> dict[int, int]:
 
 def invariant_factors_from_cyclic(parts) -> tuple[int, ...]:
     """Canonical divisibility chain of a direct sum of cyclic groups Z_k."""
-    primary: dict[int, list[int]] = {}
-    for k in parts:
-        if k <= 1:
-            continue
-        for p, e in _factorize(k).items():
-            primary.setdefault(p, []).append(e)
-    if not primary:
-        return ()
-    for exps in primary.values():
-        exps.sort(reverse=True)
-    depth = max(len(e) for e in primary.values())
-    chain = []
-    for idx in range(depth):
-        d = 1
-        for p, exps in primary.items():
-            if idx < len(exps):
-                d *= p ** exps[idx]
-        chain.append(d)
-    chain.reverse()
-    return tuple(chain)
+    chain = _snfpure.divisibility_chain([k for k in parts if k > 1])
+    return tuple(d for d in chain if d > 1)
 
 
 @dataclass(frozen=True)
@@ -130,11 +104,11 @@ class AbelianGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        if any(t < 2 for t in self.torsion):
+            raise ValueError("invariant factors must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion is not a divisibility chain")
-        if any(t < 2 for t in self.torsion):
-            raise ValueError("invariant factors must be >= 2")
 
     @property
     def is_trivial(self) -> bool:
@@ -216,9 +190,6 @@ class BigradedHomology:
             if gi == i:
                 out = out.direct_sum(grp)
         return out
-
-    def max_height(self) -> int:
-        return max((i for i, _ in self.groups), default=-1)
 
     def items_sorted(self):
         return sorted(self.groups.items())
@@ -324,7 +295,7 @@ def compute_all(
     ``j_range`` restricts the internal degree (an iterable of j values); for
     ungraded algebras there is a single j-collapsed slice at j = 0.  Degree
     slices are independent computations, so with ``jobs`` > 1 they run on a
-    process pool, biggest slices first; results merge only at aggregation.
+    process pool; results merge only at aggregation.
     """
     n = g.edge_count
     if n > MAX_EDGES:
@@ -345,16 +316,9 @@ def compute_all(
     workers = _worker_count(jobs, len(js))
     if workers > 1:
         groups: dict[tuple[int, int], AbelianGroup] = {}
-        sizing = Cube(g, a)
-        by_size = sorted(
-            js,
-            key=lambda j: -sum(
-                slice_dimension(g, a, i, j, sizing) for i in range(n + 1)
-            ),
-        )
-        # Deal degrees round-robin, biggest first, into one batch per worker
-        # so each process amortizes its subset/coloring caches over a batch.
-        batches = [by_size[k::workers] for k in range(workers)]
+        # Deal degrees round-robin into one batch per worker so each process
+        # amortizes its subset/coloring caches over a batch.
+        batches = [js[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_degree_batch_groups, g, a, batch, verify_dd)
@@ -382,9 +346,10 @@ _SUBSET_BYTES = 400
 _STATE_BYTES = 96
 _MATRIX_ENTRY_BYTES = 100
 _KERNEL_ENTRY_BYTES = 300
-# Phase-1 fill-in of the kernel's maps, as a multiple of the stored nonzeros,
-# measured on the largest differentials: at most 1.2x over trunc:2 and
-# trunc:3, and 2.2-3.8x over the ungraded x^3 - 1.
+# Fill-in of the pure kernel's maps during elimination, as a multiple of the
+# stored nonzeros, measured on every differential of over 1000 nonzeros: at
+# most 1.15x over trunc:2 and trunc:3, and 1.5-3.6x over the ungraded
+# x^3 - 1 (at most 2.7x the nonzeros of the graph's largest differential).
 _GRADED_FILL = 1.25
 _UNGRADED_FILL = 4
 
@@ -396,22 +361,21 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
     is live at a time.  The estimate prices (a) the cached partition of every
     edge subset, (b) every state of the requested slices, for the cached
     colorings and merge blocks, and (c) the largest differential:
-    its entries plus the Smith kernel's row and column maps after phase-1
-    fill-in.  A differential's nonzeros are bounded by dim C^{i,j} times the
-    n - i absent edges times the most terms any product of two basis
-    elements has.  Past 22 edges the subset term alone is returned without
+    its entries plus the Smith kernel's row and column maps after fill-in.
+    A differential's nonzeros are bounded by dim C^{i,j} times the n - i
+    absent edges times the most terms any product of two basis elements
+    has.  Past 22 edges the subset term alone is returned without
     enumerating (refining it would itself take exponential work).
 
     When ``compute_all(..., jobs=jobs)`` would run a pool, every worker is
-    priced as a whole computation, plus (a) for the parent's sizing cube.
+    priced as a whole computation.
     """
     n = g.edge_count
     js = list(default_j_range(g, a)) if j_range is None else list(j_range)
     workers = _worker_count(jobs, len(js))
     mask_floor = (1 << n) * _SUBSET_BYTES
-    parent = mask_floor if workers > 1 else 0
     if n > 22:
-        return parent + workers * mask_floor
+        return workers * mask_floor
     cube = Cube(g, a)
     terms = max(sum(1 for c in vec if c) for products in a.mult for vec in products)
     states = 0
@@ -424,7 +388,7 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
     fill = _GRADED_FILL if a.graded else _UNGRADED_FILL
     per_entry = _MATRIX_ENTRY_BYTES + _KERNEL_ENTRY_BYTES * fill
     one = mask_floor + states * _STATE_BYTES + int(nnz * per_entry)
-    return parent + workers * one
+    return workers * one
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,17 @@ def test_window_violation_exit_2(capsys):
     assert code == 2 and "window" in err
 
 
+def test_memory_cap_only_where_it_is_priced(capsys):
+    for argv in (
+        ["chromatic", "--graph", "gen:cycle:3"],
+        ["verify", "--check", "dichotomy"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--memory-cap", "1000"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_memory_cap_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "compute", "--graph", "gen:complete:5", "--algebra", "trunc:2",
@@ -175,6 +186,14 @@ def test_jrange_restriction(capsys):
     assert code == 0
     data = json.loads(out)
     assert {e["j"] for e in data["groups"]} == {2}
+
+
+def test_empty_jrange_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "--graph", "gen:cycle:3", "--algebra", "trunc:2",
+        "--jrange", "5:3",
+    )
+    assert code == 2 and "jrange" in err and not out
 
 
 def test_render_table_orientation():

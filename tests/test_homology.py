@@ -45,11 +45,15 @@ def test_group_rejects_bad_chain():
         AbelianGroup(-1)
 
 
-def test_use_kernel_rejects_unknown():
-    from chromhom.homology import use_kernel
-
+def test_zero_invariant_factor_is_a_value_error():
     with pytest.raises(ValueError):
-        use_kernel("bogus")
+        AbelianGroup(0, (0, 2))
+    data = {
+        "algebra": "trunc:2", "graph": {}, "window": None,
+        "groups": [{"i": 1, "j": 0, "free": 0, "torsion": [0, 2]}],
+    }
+    with pytest.raises(ValueError):
+        BigradedHomology.from_json_dict(data)
 
 
 def test_direct_sum():

@@ -9,7 +9,7 @@ from oracles import minor_gcd_invariant_factors
 import chromhom.homology as homology
 from chromhom import _snfpure
 from chromhom.complexes import IntMatrix
-from chromhom.homology import SNFResult, smith_normal_form, use_kernel
+from chromhom.homology import SNFResult, smith_normal_form
 
 
 def dense_to_rows(m):
@@ -86,6 +86,45 @@ def test_compiled_against_pure(compiled_snfcore):
     assert agreements > 150
 
 
+def test_compiled_against_pure_on_sparse_matrices(compiled_snfcore, monkeypatch):
+    # Sizes beyond the minor-gcd oracle.  Entries +-1, +-2, +-3 call for
+    # both +-1 pivots and least-|entry| pivots; the +-1 pivots must be
+    # counted as factors 1, never sent through the divisibility chain.
+    chain = _snfpure.divisibility_chain
+    chained = []
+
+    def spy(diagonal):
+        diagonal = list(diagonal)
+        assert all(abs(d) > 1 for d in diagonal), "a unit pivot reached the chain"
+        chained.extend(diagonal)
+        return chain(diagonal)
+
+    monkeypatch.setattr(_snfpure, "divisibility_chain", spy)
+    rng = random.Random(29)
+    compared = 0
+    for _ in range(40):
+        nr, nc = rng.randint(20, 60), rng.randint(20, 60)
+        density = rng.choice([0.05, 0.1, 0.2])
+        rows = [
+            {
+                c: rng.choice((1, -1, 2, -2, 3, -3))
+                for c in range(nc)
+                if rng.random() < density
+            }
+            for _ in range(nr)
+        ]
+        expected = _snfpure.snf_invariant_factors(rows)
+        trips = [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
+        try:
+            got = compiled_snfcore.snf_invariant_factors(nr, nc, trips)
+        except OverflowError:
+            continue  # legitimate fallback path
+        assert got == expected, rows
+        compared += 1
+    assert compared > 30
+    assert chained, "no least-|entry| pivot was taken"
+
+
 def test_compiled_overflow_falls_back(compiled_snfcore, monkeypatch):
     # Entries near 2^62 force checked arithmetic to give up; the dispatcher
     # must still return the exact answer via the pure kernel.
@@ -116,11 +155,11 @@ def test_snfcore_pyx_is_the_source_of_the_tracked_c():
     )
 
 
-def test_kernel_selection_round_trip():
+def test_kernel_selection_round_trip(monkeypatch):
     m = IntMatrix(2, 2, [{0: 4}, {1: 6}])
-    use_kernel("pure")
+    monkeypatch.setattr(homology, "_KERNEL", "pure")
     pure = smith_normal_form(m)
-    use_kernel("auto")
+    monkeypatch.setattr(homology, "_KERNEL", "auto")
     auto = smith_normal_form(m)
     assert pure == auto == SNFResult((2, 12))
 
