@@ -17,7 +17,7 @@ import sys
 from . import theorems
 from .algebra import parse_algebra_spec
 from .chromatic import chromatic_polynomial, euler_check
-from .complexes import dump_slice, slice_dimension
+from .complexes import Cube, dump_slice, slice_dimension
 from .graph import (
     MAX_EDGES,
     Graph,
@@ -148,11 +148,7 @@ def cmd_compute(args) -> int:
     if args.format == "json":
         print(json.dumps(h.to_json_dict()))
     elif args.format == "triplets":
-        js = j_range if j_range is not None else default_j_range(g, a)
-        for j in js:
-            for i in range(g.edge_count + 1):
-                if slice_dimension(g, a, i, j):
-                    print(dump_slice(g, a, i, j))
+        _print_slices(g, a, j_range if j_range is not None else default_j_range(g, a))
     else:
         print(render_table(h))
     # The Euler identity needs every degree; restricted ranges skip it.
@@ -176,11 +172,17 @@ def cmd_bases(args) -> int:
     if args.i is not None and args.j is not None:
         print(dump_slice(g, a, args.i, args.j))
         return 0
-    for j in default_j_range(g, a):
-        for i in range(g.edge_count + 1):
-            if slice_dimension(g, a, i, j):
-                print(dump_slice(g, a, i, j))
+    _print_slices(g, a, default_j_range(g, a))
     return 0
+
+
+def _print_slices(g, a, js) -> None:
+    cube = Cube(g, a)
+    for j in js:
+        for i in range(g.edge_count + 1):
+            if slice_dimension(g, a, i, j, cube):
+                print(dump_slice(g, a, i, j, cube))
+        cube.drop_colorings()
 
 
 _SINGLE_CHECKS = {

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import Algebra
-from .graph import MAX_EDGES, ComponentPartition, Graph, components
+from .graph import MAX_EDGES, ComponentPartition, Graph, components, subset_census
 
 
 class EnhancedState(NamedTuple):
@@ -122,7 +122,8 @@ class Cube:
     Caches component partitions per subset, coloring enumerations per
     (component count, degree), and merge blocks per (component count,
     merged positions, degree); nothing is cached per (subset, edge).  All
-    cached data is immutable once stored, so a Cube can be shared.
+    cached data is immutable once stored, so a Cube can be shared.  A
+    caller done with one degree calls ``drop_colorings`` before the next.
     """
 
     def __init__(self, g: Graph, a: Algebra):
@@ -142,6 +143,11 @@ class Cube:
             p = components(self.g, subset)
             self._parts[subset] = p
         return p
+
+    @cached_property
+    def census(self) -> list[list[int]]:
+        """``subset_census`` of the graph, counted on first use."""
+        return subset_census(self.g)
 
     def masks_by_count(self) -> list[list[int]]:
         if self._masks_by_count is None:
@@ -199,6 +205,11 @@ class Cube:
         self._colorings[key] = out
         return out
 
+    def drop_colorings(self) -> None:
+        """Forget colorings and merge blocks, which are keyed by degree."""
+        self._colorings.clear()
+        self._templates.clear()
+
     def coloring_count(self, k: int, j: int) -> int:
         """len(colorings(k, j)) without materializing the tuples."""
         key = (k, j)
@@ -237,13 +248,11 @@ def enumerate_basis(
 
 
 def slice_dimension(g: Graph, a: Algebra, i: int, j: int, cube: Cube | None = None) -> int:
+    """dim C^{i,j} from the cube's subset census, without enumerating states."""
     cube = cube or Cube(g, a)
     if not (0 <= i <= g.edge_count) or j < 0:
         return 0
-    return sum(
-        cube.coloring_count(cube.part(mask).component_count, j)
-        for mask in cube.masks_by_count()[i]
-    )
+    return sum(n * cube.coloring_count(c, j) for c, n in enumerate(cube.census[i]))
 
 
 def _merge_terms(a: Algebra, coloring: tuple[int, ...], p1: int, p2: int):
@@ -335,9 +344,9 @@ def differential(
     return IntMatrix(len(dst), len(src), data)
 
 
-def dump_slice(g: Graph, a: Algebra, i: int, j: int) -> str:
+def dump_slice(g: Graph, a: Algebra, i: int, j: int, cube: Cube | None = None) -> str:
     """Debug dump: state listing and differential triplets for one slice."""
-    cube = Cube(g, a)
+    cube = cube or Cube(g, a)
     src = enumerate_basis(g, a, i, j, cube)
     dst = enumerate_basis(g, a, i + 1, j, cube)
     lines = [f"slice i={i} j={j} dim={len(src)}"]

@@ -106,6 +106,17 @@ def components(g: Graph, subset: int) -> ComponentPartition:
     return ComponentPartition(tuple(ids), count)
 
 
+def subset_census(g: Graph) -> list[list[int]]:
+    """``counts[i][c]``: the i-edge subsets s for which [G:s] has c components.
+
+    One pass over the 2^n edge subsets that keeps nothing per subset.
+    """
+    counts = [[0] * (g.vertex_count + 1) for _ in range(g.edge_count + 1)]
+    for mask in range(1 << g.edge_count):
+        counts[mask.bit_count()][components(g, mask).component_count] += 1
+    return counts
+
+
 def delete_edge(g: Graph, e: int) -> Graph:
     """G - e: vertices kept, edge removed, later edges shift down one index."""
     if not (0 <= e < g.edge_count):
@@ -388,10 +399,13 @@ def parse_graph_json(data) -> Graph:
         data = json.loads(data)
     try:
         vertices = data["vertices"]
-        edges = tuple((int(u), int(w)) for u, w in data["edges"])
+        edges = tuple((u, w) for u, w in data["edges"])
+        # exact type: JSON true/false arrive as bool, an int subclass
+        if any(type(x) is not int for x in (vertices, *(v for e in edges for v in e))):
+            raise TypeError("vertex count and endpoints must be JSON integers")
+        return Graph(vertices, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad graph JSON: {exc}")
-    return Graph(int(vertices), edges)
 
 
 def load_graph(path_: str) -> Graph:

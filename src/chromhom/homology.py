@@ -71,19 +71,6 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
 # abelian groups
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors_from_cyclic(parts) -> tuple[int, ...]:
     """Canonical divisibility chain of a direct sum of cyclic groups Z_k."""
     chain = _snfpure.divisibility_chain([k for k in parts if k > 1])
@@ -113,16 +100,6 @@ class AbelianGroup:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def primary_parts(self) -> dict[int, list[int]]:
-        """Torsion as prime powers: prime -> ascending exponents."""
-        out: dict[int, list[int]] = {}
-        for t in self.torsion:
-            for p, e in _factorize(t).items():
-                out.setdefault(p, []).append(e)
-        for exps in out.values():
-            exps.sort()
-        return out
 
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(
@@ -275,11 +252,14 @@ def _degree_batch_groups(
     groups: dict[tuple[int, int], AbelianGroup] = {}
     for j in js:
         groups.update(_degree_slice_groups(g, a, j, verify_dd, cube))
+        cube.drop_colorings()
     return groups
 
 
 def _worker_count(jobs: int, slices: int) -> int:
     """Pool processes ``compute_all`` runs its slices on; 1 means in-process."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     return min(jobs, slices, os.cpu_count() or 1)
 
 
@@ -317,7 +297,7 @@ def compute_all(
     if workers > 1:
         groups: dict[tuple[int, int], AbelianGroup] = {}
         # Deal degrees round-robin into one batch per worker so each process
-        # amortizes its subset/coloring caches over a batch.
+        # amortizes its partitions and coloring counts over a batch.
         batches = [js[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
@@ -364,8 +344,9 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
     its entries plus the Smith kernel's row and column maps after fill-in.
     A differential's nonzeros are bounded by dim C^{i,j} times the n - i
     absent edges times the most terms any product of two basis elements
-    has.  Past 22 edges the subset term alone is returned without
-    enumerating (refining it would itself take exponential work).
+    has.  Dimensions come from one subset census: the estimate holds no
+    per-subset data.  Past 22 edges the subset term alone is returned
+    without enumerating (refining it would take exponential work).
 
     When ``compute_all(..., jobs=jobs)`` would run a pool, every worker is
     priced as a whole computation.

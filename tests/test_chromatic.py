@@ -97,6 +97,25 @@ def test_euler_check_passes_for_engine_output():
         assert rep.passed, (g, a.spec, rep.residuals)
 
 
+def test_euler_check_walks_no_subsets(monkeypatch):
+    import chromhom.chromatic as chromatic
+    import chromhom.complexes as complexes
+
+    g, a = complete(4), make_truncated(2)
+    h = compute_all(g, a)
+
+    def refuse(g):
+        raise AssertionError("the Euler check walked the edge subsets")
+
+    for module, name in (
+        (chromatic, "subset_census"),
+        (complexes, "subset_census"),
+        (chromatic, "chromatic_polynomial_whitney"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert euler_check(g, a, h).passed
+
+
 def test_euler_check_detects_tampering():
     g = cycle(3)
     a = make_truncated(2)

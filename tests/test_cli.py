@@ -24,6 +24,8 @@ def test_graph_specs(tmp_path):
     pj = tmp_path / "g.json"
     pj.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
     assert parse_graph_spec(f"file:{pj}") == cycle(3)
+    pj.write_text(json.dumps({"vertices": None, "edges": []}))
+    assert main(["chromatic", "--graph", f"file:{pj}"]) == 2
     with pytest.raises(ValueError):
         parse_graph_spec("nonsense")
 
@@ -71,6 +73,28 @@ def test_bases_dump(capsys):
     assert "state#0: subset=0b000" in out
 
 
+def test_bases_partitions_each_subset_at_most_three_times(capsys, monkeypatch):
+    # one census for the memory check, one census and one partition pass
+    # for the dump
+    import chromhom.complexes as complexes
+    import chromhom.graph as graph
+
+    calls = []
+    original = graph.components
+
+    def counted(g, subset):
+        calls.append(subset)
+        return original(g, subset)
+
+    monkeypatch.setattr(graph, "components", counted)
+    monkeypatch.setattr(complexes, "components", counted)
+    code, out, _ = run_cli(
+        capsys, "bases", "--graph", "gen:complete:4", "--algebra", "trunc:3"
+    )
+    assert code == 0 and out.count("slice i=") > 1
+    assert len(calls) <= 3 * 2 ** 6
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--check", "polygon", "--n", "5",
@@ -108,6 +132,18 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "known" in err
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
+    for jobs in ("0", "-1"):
+        # refused before the memory guard could price zero processes
+        code, _, err = run_cli(
+            capsys, "compute", "--graph", "gen:complete:5", "--algebra", "trunc:2",
+            "--memory-cap", "1000", "--jobs", jobs,
+        )
+        assert code == 2 and "jobs" in err
+    from chromhom.homology import estimate_peak_bytes
+
+    for call in (compute_all, estimate_peak_bytes):
+        with pytest.raises(ValueError):
+            call(cycle(3), make_truncated(2), jobs=0)
 
 
 def test_more_single_checks(capsys):
@@ -164,6 +200,20 @@ def test_memory_cap_prices_every_pool_process(capsys, monkeypatch):
             "--memory-cap", str((one + pool) // 2)]
     assert run_cli(capsys, *args, "--jobs", "2")[0] == 3
     assert run_cli(capsys, *args, "--jobs", "1")[0] == 0
+
+
+def test_memory_estimate_holds_no_per_subset_data():
+    import tracemalloc
+
+    from chromhom.homology import estimate_peak_bytes
+
+    tracemalloc.start()
+    try:
+        assert estimate_peak_bytes(complete(6), make_truncated(2)) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024**2
 
 
 def test_memory_cap_refuses_large_graphs_instantly(capsys):

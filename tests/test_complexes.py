@@ -14,7 +14,14 @@ from chromhom.complexes import (
     per_edge_image,
     slice_dimension,
 )
-from chromhom.graph import Graph, complete, components, cycle, polygon_with_diagonals
+from chromhom.graph import (
+    Graph,
+    complete,
+    components,
+    cycle,
+    polygon_with_diagonals,
+    subset_census,
+)
 from chromhom.homology import default_j_range
 
 P3 = cycle(3)
@@ -172,12 +179,26 @@ def reference_differential(g, a, src, dst) -> dict[tuple[int, int], int]:
     return {k: v for k, v in entries.items() if v}
 
 
+def relabel_component_count(g: Graph, mask: int) -> int:
+    """Components of [G:s] by merging vertex labels edge by edge."""
+    label = list(range(g.vertex_count))
+    for e, (u, w) in enumerate(g.edges):
+        if mask >> e & 1:
+            keep, gone = label[u], label[w]
+            label = [keep if x == gone else x for x in label]
+    return len(set(label))
+
+
 def test_block_assembly_matches_per_state_rule():
     rng = random.Random(11)
     graphs = [random_multigraph(rng, 4, 6) for _ in range(30)]
     assert any(u == w for g in graphs for u, w in g.edges)
     assert any(len(set(g.edges)) < g.edge_count for g in graphs)
     for g in graphs:
+        brute = [[0] * (g.vertex_count + 1) for _ in range(g.edge_count + 1)]
+        for mask in range(1 << g.edge_count):
+            brute[mask.bit_count()][relabel_component_count(g, mask)] += 1
+        assert subset_census(g) == brute, g
         for spec in SPECS:
             a = parse_algebra_spec(spec)
             cube = Cube(g, a)

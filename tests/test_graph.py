@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -198,6 +199,30 @@ def test_text_format_roundtrip():
         g = Graph(v, edges)
         assert parse_graph_text(g.to_text()) == g
         assert parse_graph_json(g.to_json_dict()) == g
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": None, "edges": []},
+        {"vertices": 2.7, "edges": []},
+        {"vertices": 2.0, "edges": []},
+        {"vertices": True, "edges": []},
+        {"vertices": "3", "edges": []},
+        {"vertices": -1, "edges": []},
+        {"vertices": 3, "edges": [[0, 1.0]]},
+        {"vertices": 3, "edges": [[0, "1"]]},
+        {"vertices": 3, "edges": [[False, 1]]},
+        {"vertices": 3, "edges": [[0, 1, 2]]},
+        {"vertices": 3, "edges": [[0, 3]]},
+        {"vertices": 3, "edges": None},
+        {"edges": []},
+        [3, []],
+    ],
+)
+def test_json_format_errors(data):
+    with pytest.raises(GraphFormatError):
+        parse_graph_json(json.dumps(data))
 
 
 def test_text_format_errors():

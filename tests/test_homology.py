@@ -142,12 +142,6 @@ def test_multi_edge_simplification_invariance():
         assert compute_all(g, a).groups == compute_all(simplify(g), a).groups, g
 
 
-def test_primary_parts():
-    grp = AbelianGroup(1, (2, 12))
-    assert grp.primary_parts() == {2: [1, 2], 3: [1]}
-    assert AbelianGroup(3).primary_parts() == {}
-
-
 def test_edge_order_invariance():
     rng = random.Random(9)
     base = cycle(5)
