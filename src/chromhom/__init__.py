@@ -15,7 +15,6 @@ from .chromatic import (
     Poly,
     Poly2,
     chromatic_polynomial,
-    chromatic_polynomial_whitney,
     euler_check,
 )
 from .complexes import (

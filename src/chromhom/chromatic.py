@@ -1,10 +1,10 @@
 """Chromatic polynomial and the graded-Euler-characteristic cross-check.
 
-Whitney's rank expansion, read off the subset census, is the reference.
-Memoized deletion-contraction is the fast path, so the Euler check walks no
-edge subsets; it compares, coefficient by coefficient, three quantities: the
-alternating sum of homology ranks, the alternating sum of chain-group
-dimensions, and the chromatic polynomial evaluated at qdim A.
+The chromatic polynomial is Whitney's rank expansion of the subset census.
+The Euler check counts the census once and compares, coefficient by
+coefficient, three quantities: the alternating sum of homology ranks, the
+alternating sum of chain-group dimensions, and the chromatic polynomial
+evaluated at qdim A.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import Algebra, qdim
 from .complexes import Cube
-from .graph import Graph, components, contract_edge, delete_edge, simplify, subset_census
+from .graph import Graph, subset_census
 
 if TYPE_CHECKING:  # pragma: no cover
     from .homology import BigradedHomology
@@ -31,10 +31,6 @@ class Poly:
     @classmethod
     def from_list(cls, coeffs) -> "Poly":
         return cls({e: int(v) for e, v in enumerate(coeffs)})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "Poly":
-        return cls({exp: coeff})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.c == other.c
@@ -155,47 +151,15 @@ def qdim_poly(a: Algebra) -> Poly:
     return Poly(dict(qdim(a).coefficients))
 
 
-def chromatic_polynomial_whitney(g: Graph) -> Poly:
-    """Whitney rank expansion: sum over edge subsets of (-1)^|s| x^c(s)."""
+def chromatic_polynomial(g: Graph) -> Poly:
+    """Whitney's expansion, the census folded at x = -1: the coefficient of
+    x^c is sum_i (-1)^i counts[i][c].  A loop cancels every term; parallel
+    edges leave the sum unchanged."""
     out: dict[int, int] = {}
     for i, row in enumerate(subset_census(g)):
         for c, n in enumerate(row):
             out[c] = out.get(c, 0) + (-n if i & 1 else n)
     return Poly(out)
-
-
-_DC_MEMO: dict[tuple[int, tuple[tuple[int, int], ...]], Poly] = {}
-
-
-def _dc_key(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    return (
-        g.vertex_count,
-        tuple(sorted((min(u, w), max(u, w)) for u, w in g.edges)),
-    )
-
-
-def chromatic_polynomial(g: Graph) -> Poly:
-    """Deletion-contraction with memoization on the canonicalized edge list."""
-    if g.has_loop():
-        return Poly()
-    s = simplify(g)
-    key = _dc_key(s)
-    cached = _DC_MEMO.get(key)
-    if cached is not None:
-        return cached
-    n = s.edge_count
-    mu = components(s, (1 << n) - 1).component_count if s.vertex_count else 0
-    if n == s.vertex_count - mu:
-        # Forest: x^mu (x-1)^edges.
-        result = Poly.monomial(mu) * (Poly({1: 1, 0: -1}) ** n)
-    else:
-        # Recursion terminates on edge count alone; children are simplified
-        # and loop-stripped on entry.
-        result = chromatic_polynomial(delete_edge(s, 0)) - chromatic_polynomial(
-            contract_edge(s, 0)
-        )
-    _DC_MEMO[key] = result
-    return result
 
 
 @dataclass
@@ -213,15 +177,19 @@ class EulerReport:
         return self.passed
 
 
+def _colorings_of(p: Poly, cube: Cube) -> Poly:
+    """P with x^c read as the engine's colorings of c components."""
+    out: dict[int, int] = {}
+    for c, n in p.c.items():
+        for j in range(c * cube.a.max_degree + 1):
+            out[j] = out.get(j, 0) + n * cube.coloring_count(c, j)
+    return Poly(out)
+
+
 def chain_euler_poly(g: Graph, a: Algebra) -> Poly:
     """Alternating sum over heights of the chain-group graded dimensions:
     P_G with x^c read as the engine's colorings of c components."""
-    cube = Cube(g, a)
-    out: dict[int, int] = {}
-    for c, n in chromatic_polynomial(g).c.items():
-        for j in range(c * a.max_degree + 1):
-            out[j] = out.get(j, 0) + n * cube.coloring_count(c, j)
-    return Poly(out)
+    return _colorings_of(chromatic_polynomial(g), Cube(g, a))
 
 
 def euler_check(g: Graph, a: Algebra, h: "BigradedHomology") -> EulerReport:
@@ -239,8 +207,9 @@ def euler_check(g: Graph, a: Algebra, h: "BigradedHomology") -> EulerReport:
         if grp.free_rank:
             term = Poly({j: grp.free_rank})
             hom = hom + (term if i % 2 == 0 else -term)
-    chrom = chromatic_polynomial(g).compose(qdim_poly(a))
-    chain = chain_euler_poly(g, a)
+    p = chromatic_polynomial(g)  # one census for both sides
+    chrom = p.compose(qdim_poly(a))
+    chain = _colorings_of(p, Cube(g, a))
     hom_diff = (hom - chrom).c
     chain_diff = (chain - chrom).c
     residuals = {

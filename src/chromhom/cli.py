@@ -166,10 +166,12 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_bases(args) -> int:
+    if (args.i is None) != (args.j is None):
+        raise ValueError("--i and --j name one slice; give both or neither")
     g = parse_graph_spec(args.graph)
     a = parse_algebra_spec(args.algebra)
     _check_memory(g, a, None, args.memory_cap)
-    if args.i is not None and args.j is not None:
+    if args.i is not None:
         print(dump_slice(g, a, args.i, args.j))
         return 0
     _print_slices(g, a, default_j_range(g, a))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 
 # Edge subsets are bitmasks in a machine word.
 MAX_EDGES = 63
@@ -106,14 +107,44 @@ def components(g: Graph, subset: int) -> ComponentPartition:
     return ComponentPartition(tuple(ids), count)
 
 
+def _canonical(edges) -> tuple[tuple[int, int], ...]:
+    """Sorted edges, endpoints ordered, the vertices in use relabelled 0, 1, ..."""
+    label = {x: k for k, x in enumerate(sorted({x for e in edges for x in e}))}
+    return tuple(sorted((label[min(e)], label[max(e)]) for e in edges))
+
+
 def subset_census(g: Graph) -> list[list[int]]:
     """``counts[i][c]``: the i-edge subsets s for which [G:s] has c components.
 
-    One pass over the 2^n edge subsets that keeps nothing per subset.
+    The table is Whitney's S(G) = sum_s x^|s| y^c(s), by memoized
+    deletion-contraction (Haggard, Pearce and Royle, ACM TOMS 2010): an
+    edgeless graph on v vertices gives y^v, a loop e gives (1 + x) S(G - e),
+    and any other edge S(G - e) + x S(G / e); a parallel class is taken in
+    one step.  Subsets are kept by rank v - c(s), which ignores isolated
+    vertices, so the memo (one per call) is keyed on the canonical edge list.
+    Contracting each edge into its larger endpoint eliminates the vertices in
+    order, which keeps sparse graphs cheap.
     """
+    memo: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+
+    def ranks(edges: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
+        # {(|s|, rank of s): number of subsets s}
+        if edges not in memo:
+            u, w = edges[0]
+            m = edges.count(edges[0])  # sorted, so the parallel class leads
+            out = dict(ranks(_canonical(edges[m:])))
+            # Contract u into w; for a loop class this is the deletion again.
+            moved = [(w if a == u else a, w if b == u else b) for a, b in edges[m:]]
+            step = int(u != w)
+            for (i, r), n in ranks(_canonical(moved)).items():
+                for j in range(1, m + 1):
+                    out[i + j, r + step] = out.get((i + j, r + step), 0) + comb(m, j) * n
+            memo[edges] = out
+        return memo[edges]
+
     counts = [[0] * (g.vertex_count + 1) for _ in range(g.edge_count + 1)]
-    for mask in range(1 << g.edge_count):
-        counts[mask.bit_count()][components(g, mask).component_count] += 1
+    for (i, r), n in ranks(_canonical(g.edges)).items():
+        counts[i][g.vertex_count - r] = n
     return counts
 
 

@@ -345,19 +345,15 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
     A differential's nonzeros are bounded by dim C^{i,j} times the n - i
     absent edges times the most terms any product of two basis elements
     has.  Dimensions come from one subset census: the estimate holds no
-    per-subset data.  Past 22 edges the subset term alone is returned
-    without enumerating (refining it would take exponential work).
+    per-subset data.  Past ``MAX_EDGES`` edges ``Cube`` raises ValueError.
 
     When ``compute_all(..., jobs=jobs)`` would run a pool, every worker is
     priced as a whole computation.
     """
+    cube = Cube(g, a)
     n = g.edge_count
     js = list(default_j_range(g, a)) if j_range is None else list(j_range)
     workers = _worker_count(jobs, len(js))
-    mask_floor = (1 << n) * _SUBSET_BYTES
-    if n > 22:
-        return workers * mask_floor
-    cube = Cube(g, a)
     terms = max(sum(1 for c in vec if c) for products in a.mult for vec in products)
     states = 0
     nnz = 0
@@ -368,7 +364,7 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
             nnz = max(nnz, dim * (n - i) * terms)
     fill = _GRADED_FILL if a.graded else _UNGRADED_FILL
     per_entry = _MATRIX_ENTRY_BYTES + _KERNEL_ENTRY_BYTES * fill
-    one = mask_floor + states * _STATE_BYTES + int(nnz * per_entry)
+    one = (1 << n) * _SUBSET_BYTES + states * _STATE_BYTES + int(nnz * per_entry)
     return workers * one
 
 

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately avoid the library's elimination code: determinants come
-from cofactor expansion and invariant factors from gcds of k x k minors, so
-they can arbitrate the Smith normal form implementations.
+These deliberately avoid the library's algorithms: determinants come from
+cofactor expansion and invariant factors from gcds of k x k minors, so they
+can arbitrate the Smith normal form implementations; the subset census walks
+all 2^n edge subsets and merges vertex labels, so it can arbitrate the
+library's deletion-contraction.
 """
 
 from itertools import combinations
 from math import gcd
+
+from chromhom.chromatic import Poly
 
 
 def det_cofactor(m: list[list[int]]) -> int:
@@ -43,3 +47,30 @@ def minor_gcd_invariant_factors(m: list[list[int]]) -> list[int]:
         factors.append(g_k // g_prev)
         g_prev = g_k
     return factors
+
+
+def relabel_component_count(g, mask: int) -> int:
+    """Components of [G:s] by merging vertex labels edge by edge."""
+    label = list(range(g.vertex_count))
+    for e, (u, w) in enumerate(g.edges):
+        if mask >> e & 1:
+            keep, gone = label[u], label[w]
+            label = [keep if x == gone else x for x in label]
+    return len(set(label))
+
+
+def brute_census(g) -> list[list[int]]:
+    """``counts[i][c]`` over all 2^n edge subsets, one at a time."""
+    counts = [[0] * (g.vertex_count + 1) for _ in range(g.edge_count + 1)]
+    for mask in range(1 << g.edge_count):
+        counts[mask.bit_count()][relabel_component_count(g, mask)] += 1
+    return counts
+
+
+def whitney_chromatic(g) -> Poly:
+    """Whitney's rank expansion: sum over edge subsets of (-1)^|s| x^c(s)."""
+    out: dict[int, int] = {}
+    for i, row in enumerate(brute_census(g)):
+        for c, n in enumerate(row):
+            out[c] = out.get(c, 0) + (-n if i & 1 else n)
+    return Poly(out)

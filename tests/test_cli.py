@@ -73,9 +73,9 @@ def test_bases_dump(capsys):
     assert "state#0: subset=0b000" in out
 
 
-def test_bases_partitions_each_subset_at_most_three_times(capsys, monkeypatch):
-    # one census for the memory check, one census and one partition pass
-    # for the dump
+def test_bases_partitions_each_subset_at_most_once(capsys, monkeypatch):
+    # the censuses for the memory check and the dump partition nothing;
+    # the dump's one partition pass does
     import chromhom.complexes as complexes
     import chromhom.graph as graph
 
@@ -92,7 +92,7 @@ def test_bases_partitions_each_subset_at_most_three_times(capsys, monkeypatch):
         capsys, "bases", "--graph", "gen:complete:4", "--algebra", "trunc:3"
     )
     assert code == 0 and out.count("slice i=") > 1
-    assert len(calls) <= 3 * 2 ** 6
+    assert len(calls) <= 2 ** 6
 
 
 def test_verify_single_check(capsys):
@@ -139,11 +139,20 @@ def test_usage_errors_exit_2(capsys):
             "--memory-cap", "1000", "--jobs", jobs,
         )
         assert code == 2 and "jobs" in err
+    for flag in ("--i", "--j"):
+        # one coordinate of a slice is not a slice
+        code, out, err = run_cli(
+            capsys, "bases", "--graph", "gen:cycle:3", "--algebra", "trunc:2", flag, "1",
+        )
+        assert code == 2 and not out and "--i" in err
+    from chromhom.graph import Graph
     from chromhom.homology import estimate_peak_bytes
 
     for call in (compute_all, estimate_peak_bytes):
         with pytest.raises(ValueError):
             call(cycle(3), make_truncated(2), jobs=0)
+    with pytest.raises(ValueError):
+        estimate_peak_bytes(Graph(2, ((0, 1),) * 64), make_truncated(2))
 
 
 def test_more_single_checks(capsys):
@@ -214,6 +223,17 @@ def test_memory_estimate_holds_no_per_subset_data():
     finally:
         tracemalloc.stop()
     assert peak < 1024**2
+
+
+def test_memory_estimate_of_complete7_partitions_nothing(monkeypatch):
+    import chromhom.graph as graph
+    from chromhom.homology import estimate_peak_bytes
+
+    def refuse(g, subset):
+        raise AssertionError("the estimate partitioned an edge subset")
+
+    monkeypatch.setattr(graph, "components", refuse)
+    assert estimate_peak_bytes(complete(7), make_truncated(2)) == 3_251_125_427
 
 
 def test_memory_cap_refuses_large_graphs_instantly(capsys):
