@@ -154,7 +154,7 @@ def qdim_poly(a: Algebra) -> Poly:
 def chromatic_polynomial(g: Graph) -> Poly:
     """Whitney's expansion, the census folded at x = -1: the coefficient of
     x^c is sum_i (-1)^i counts[i][c].  A loop cancels every term; parallel
-    edges leave the sum unchanged."""
+    edges leave the sum unchanged.  Past ``MAX_EDGES`` edges it raises."""
     out: dict[int, int] = {}
     for i, row in enumerate(subset_census(g)):
         for c, n in enumerate(row):
@@ -177,21 +177,6 @@ class EulerReport:
         return self.passed
 
 
-def _colorings_of(p: Poly, cube: Cube) -> Poly:
-    """P with x^c read as the engine's colorings of c components."""
-    out: dict[int, int] = {}
-    for c, n in p.c.items():
-        for j in range(c * cube.a.max_degree + 1):
-            out[j] = out.get(j, 0) + n * cube.coloring_count(c, j)
-    return Poly(out)
-
-
-def chain_euler_poly(g: Graph, a: Algebra) -> Poly:
-    """Alternating sum over heights of the chain-group graded dimensions:
-    P_G with x^c read as the engine's colorings of c components."""
-    return _colorings_of(chromatic_polynomial(g), Cube(g, a))
-
-
 def euler_check(g: Graph, a: Algebra, h: "BigradedHomology") -> EulerReport:
     """Alternating homology ranks must equal P_G evaluated at qdim A.
 
@@ -209,7 +194,13 @@ def euler_check(g: Graph, a: Algebra, h: "BigradedHomology") -> EulerReport:
             hom = hom + (term if i % 2 == 0 else -term)
     p = chromatic_polynomial(g)  # one census for both sides
     chrom = p.compose(qdim_poly(a))
-    chain = _colorings_of(p, Cube(g, a))
+    # chain side: P_G with x^c read as the engine's colorings of c components
+    cube = Cube(g, a)
+    chain_c: dict[int, int] = {}
+    for c, n in p.c.items():
+        for j in range(c * a.max_degree + 1):
+            chain_c[j] = chain_c.get(j, 0) + n * cube.coloring_count(c, j)
+    chain = Poly(chain_c)
     hom_diff = (hom - chrom).c
     chain_diff = (chain - chrom).c
     residuals = {

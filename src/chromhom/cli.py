@@ -34,6 +34,7 @@ from .homology import (
     compute_all,
     default_j_range,
     estimate_peak_bytes,
+    peak_bytes_floor,
 )
 
 DEFAULT_MEMORY_CAP = 4 * 1024**3
@@ -131,10 +132,11 @@ def _parse_jrange(text: str | None):
 
 
 def _check_memory(g, a, j_range, cap: int, jobs: int = 1):
-    estimate = estimate_peak_bytes(g, a, j_range, jobs)
+    floor = peak_bytes_floor(g, a, j_range, jobs)  # refuse before the census if it can
+    estimate = floor if floor > cap else estimate_peak_bytes(g, a, j_range, jobs)
     if estimate > cap:
         raise MemoryCapExceeded(
-            f"estimated peak {estimate} bytes exceeds cap {cap}; "
+            f"estimated peak of at least {estimate} bytes exceeds cap {cap}; "
             "raise --memory-cap to proceed"
         )
 

@@ -123,8 +123,10 @@ def subset_census(g: Graph) -> list[list[int]]:
     one step.  Subsets are kept by rank v - c(s), which ignores isolated
     vertices, so the memo (one per call) is keyed on the canonical edge list.
     Contracting each edge into its larger endpoint eliminates the vertices in
-    order, which keeps sparse graphs cheap.
+    order, which keeps sparse graphs cheap.  Past ``MAX_EDGES`` edges it raises.
     """
+    if g.edge_count > MAX_EDGES:
+        raise ValueError(f"graphs are capped at {MAX_EDGES} edges")
     memo: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
 
     def ranks(edges: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:

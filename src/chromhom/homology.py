@@ -334,8 +334,15 @@ _GRADED_FILL = 1.25
 _UNGRADED_FILL = 4
 
 
+def peak_bytes_floor(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> int:
+    """The partition term of ``estimate_peak_bytes``: a lower bound on it that,
+    unlike the census (exponential on wide or dense graphs), counts nothing."""
+    js = default_j_range(g, a) if j_range is None else j_range
+    return _worker_count(jobs, len(js)) * (1 << g.edge_count) * _SUBSET_BYTES
+
+
 def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> int:
-    """Estimate of peak memory above the imported engine, made before any allocation.
+    """Estimate of peak memory above the imported engine, made before the computation.
 
     A slice reduces each differential as soon as it is built, so one matrix
     is live at a time.  The estimate prices (a) the cached partition of every
@@ -364,8 +371,8 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
             nnz = max(nnz, dim * (n - i) * terms)
     fill = _GRADED_FILL if a.graded else _UNGRADED_FILL
     per_entry = _MATRIX_ENTRY_BYTES + _KERNEL_ENTRY_BYTES * fill
-    one = (1 << n) * _SUBSET_BYTES + states * _STATE_BYTES + int(nnz * per_entry)
-    return workers * one
+    rest = states * _STATE_BYTES + int(nnz * per_entry)
+    return peak_bytes_floor(g, a, js, jobs) + workers * rest
 
 
 # ---------------------------------------------------------------------------

@@ -236,16 +236,31 @@ def test_memory_estimate_of_complete7_partitions_nothing(monkeypatch):
     assert estimate_peak_bytes(complete(7), make_truncated(2)) == 3_251_125_427
 
 
-def test_memory_cap_refuses_large_graphs_instantly(capsys):
-    # 39 edges is legal but its subset bookkeeping floor alone exceeds the
-    # default cap; the refusal must not attempt any enumeration
+def test_memory_cap_refuses_large_graphs_instantly(capsys, monkeypatch, tmp_path):
+    # 39 and 59 edges are legal but their subset bookkeeping floor alone
+    # exceeds the default cap; the refusal must not count the subsets, which
+    # on the 4x9 grid (a wide graph) takes seconds and hundreds of MiB
     import time
 
-    t0 = time.time()
-    code, _, err = run_cli(
-        capsys, "compute", "--graph", "gen:path:40", "--algebra", "trunc:2",
-    )
-    assert code == 3 and time.time() - t0 < 2
+    import chromhom.complexes
+
+    def refuse(g):
+        raise AssertionError("the memory guard counted the subsets")
+
+    monkeypatch.setattr(chromhom.complexes, "subset_census", refuse)
+    grid = tmp_path / "grid.txt"
+    edges = [(9 * r + c, 9 * r + c + 1) for r in range(4) for c in range(8)]
+    edges += [(9 * r + c, 9 * r + c + 9) for r in range(3) for c in range(9)]
+    grid.write_text("vertices 36\n" + "".join(f"{u} {w}\n" for u, w in edges))
+    assert len(edges) == 59
+    for argv in (
+        ["compute", "--graph", "gen:path:40", "--algebra", "trunc:2"],
+        ["compute", "--graph", f"file:{grid}", "--algebra", "trunc:2"],
+        ["bases", "--graph", f"file:{grid}", "--algebra", "trunc:3"],
+    ):
+        t0 = time.time()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and "cap" in err and time.time() - t0 < 2, argv
 
 
 def test_jrange_restriction(capsys):

@@ -6,7 +6,7 @@ import pytest
 from oracles import brute_census
 
 from chromhom.algebra import make_deformed, make_truncated, parse_algebra_spec
-from chromhom.chromatic import Poly, qdim_poly
+from chromhom.chromatic import Poly, chromatic_polynomial, qdim_poly
 from chromhom.complexes import (
     Cube,
     EnhancedState,
@@ -159,6 +159,9 @@ def test_edge_cap():
     g = Graph(65, tuple((i, i + 1) for i in range(64)))
     with pytest.raises(ValueError):
         Cube(g, A2)
+    for count in (subset_census, chromatic_polynomial):
+        with pytest.raises(ValueError):
+            count(g)
 
 
 def test_dump_slice_format():
