@@ -184,6 +184,8 @@ def euler_check(g: Graph, a: Algebra, h: "BigradedHomology") -> EulerReport:
     identity (alternating chain dimensions equal the same polynomial).  A
     mismatch signals an engine bug; ``residuals`` maps each offending
     q-degree to its (homology-side, chain-side) coefficient differences.
+    A window algebra is compared only at q-degrees up to its window, the
+    degrees its homology is computed in.
     """
     if not a.graded:
         raise ValueError("the graded Euler check needs a graded algebra")
@@ -201,6 +203,8 @@ def euler_check(g: Graph, a: Algebra, h: "BigradedHomology") -> EulerReport:
         for j in range(c * a.max_degree + 1):
             chain_c[j] = chain_c.get(j, 0) + n * cube.coloring_count(c, j)
     chain = Poly(chain_c)
+    if a.window is not None:
+        hom, chain, chrom = (side.truncate(a.window) for side in (hom, chain, chrom))
     hom_diff = (hom - chrom).c
     chain_diff = (chain - chrom).c
     residuals = {

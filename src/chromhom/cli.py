@@ -174,7 +174,7 @@ def cmd_bases(args) -> int:
     a = parse_algebra_spec(args.algebra)
     _check_memory(g, a, None, args.memory_cap)
     if args.i is not None:
-        print(dump_slice(g, a, args.i, args.j))
+        print(dump_slice(Cube(g, a), args.i, args.j))
         return 0
     _print_slices(g, a, default_j_range(g, a))
     return 0
@@ -184,10 +184,19 @@ def _print_slices(g, a, js) -> None:
     cube = Cube(g, a)
     for j in js:
         for i in range(g.edge_count + 1):
-            if slice_dimension(g, a, i, j, cube):
-                print(dump_slice(g, a, i, j, cube))
-        cube.drop_colorings()
+            if slice_dimension(cube, i, j):
+                print(dump_slice(cube, i, j))
 
+
+# the options a single check reads that have no default
+_NEEDS = {
+    "vanishing": ("graph", "algebra"),
+    "thickness": ("graph", "algebra"),
+    "pendant": ("graph", "algebra"),
+    "exactness": ("graph", "algebra"),
+    "dichotomy": ("graph",),
+    "vgon": ("graph", "algebra"),
+}
 
 _SINGLE_CHECKS = {
     "vanishing": lambda args, g, a: theorems.check_vanishing(g, a),
@@ -217,6 +226,9 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 f"unknown check {args.check!r}; known: {sorted(_SINGLE_CHECKS)}"
             )
+        for option in _NEEDS.get(args.check, ()):
+            if getattr(args, option) is None:
+                raise ValueError(f"--check {args.check} needs --{option}")
         g = parse_graph_spec(args.graph) if args.graph else None
         a = parse_algebra_spec(args.algebra) if args.algebra else None
         reports = [_SINGLE_CHECKS[args.check](args, g, a)]
@@ -241,11 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    graph_help = "gen:cycle:6 | gen:complete:4 | gen:path:5 | gen:vgon:5:0-2,0-3 | file:g.txt"
+    algebra_help = "trunc:m | poly:c0,c1,...,1 | window:J"
+
     def add_common(p, algebra=True, memory_cap=False):
-        p.add_argument("--graph", help="gen:cycle:6 | gen:complete:4 | "
-                       "gen:path:5 | gen:vgon:5:0-2,0-3 | file:g.txt")
+        p.add_argument("--graph", required=True, help=graph_help)
         if algebra:
-            p.add_argument("--algebra", help="trunc:m | poly:c0,c1,...,1 | window:J")
+            p.add_argument("--algebra", required=True, help=algebra_help)
         if memory_cap:
             p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP,
                            help="refuse computations whose estimate exceeds "
@@ -270,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bases)
 
     p = sub.add_parser("verify", help="run verification checks (JSON report stream)")
-    add_common(p)
+    # optional here: only some single checks read them
+    p.add_argument("--graph", help=graph_help)
+    p.add_argument("--algebra", help=algebra_help)
     p.add_argument("--suite", help="'paper' runs the whole fixture suite")
     p.add_argument("--check", help="run one named check")
     p.add_argument("--edge", type=int, default=0)

@@ -41,13 +41,13 @@ class BasisRun(NamedTuple):
 
 
 class StateBasis:
-    """All enhanced states of one bidegree, in deterministic order.
+    """All enhanced states of one bidegree of ``cube``, in deterministic order.
 
     Ordering is lexicographic by (subset bitmask, coloring vector), so bases
     and matrices are reproducible across runs.  Only subsets with at least
     one coloring have a run; a run's states are colored in
-    ``Cube.colorings`` order.  ``states`` and ``index`` list every state and
-    are built on first use.
+    ``Cube.colorings`` order.  ``states`` lists every state and is built on
+    first use.
     """
 
     def __init__(self, i: int, j: int, runs: list[BasisRun], cube: Cube):
@@ -55,7 +55,7 @@ class StateBasis:
         self.j = j
         self.runs = runs
         self.offsets = {run.mask: run.offset for run in runs}
-        self._cube = cube
+        self.cube = cube
         self._size = runs[-1].offset + runs[-1].count if runs else 0
 
     def __len__(self) -> int:
@@ -63,16 +63,12 @@ class StateBasis:
 
     @cached_property
     def states(self) -> list[EnhancedState]:
-        colorings = self._cube.colorings
+        colorings = self.cube.colorings
         return [
             EnhancedState(run.mask, col)
             for run in self.runs
             for col in colorings(run.partition.component_count, self.j)
         ]
-
-    @cached_property
-    def index(self) -> dict[EnhancedState, int]:
-        return {s: n for n, s in enumerate(self.states)}
 
 
 @dataclass
@@ -117,13 +113,13 @@ class IntMatrix:
 
 
 class Cube:
-    """Per-(graph, algebra) caches shared by slice computations.
+    """The cube of one (graph, algebra) pair and the caches its slices share.
 
-    Caches component partitions per subset, coloring enumerations per
-    (component count, degree), and merge blocks per (component count,
-    merged positions, degree); nothing is cached per (subset, edge).  All
-    cached data is immutable once stored, so a Cube can be shared.  A
-    caller done with one degree calls ``drop_colorings`` before the next.
+    Caches component partitions per subset, coloring counts per (component
+    count, degree), and, for one degree at a time, coloring enumerations and
+    merge blocks per (component count, merged positions); nothing is cached
+    per (subset, edge).  Enumerating colorings of a new degree forgets those
+    of the previous one.  All cached data is immutable once stored.
     """
 
     def __init__(self, g: Graph, a: Algebra):
@@ -132,6 +128,7 @@ class Cube:
         self.g = g
         self.a = a
         self._parts: dict[int, ComponentPartition] = {}
+        self._degree: int | None = None  # the degree of _colorings and _templates
         self._colorings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._counts: dict[tuple[int, int], int] = {}
         self._templates: dict[tuple[int, int, int, int], list[tuple[int, int, int]]] = {}
@@ -183,6 +180,10 @@ class Cube:
         cached = self._colorings.get(key)
         if cached is not None:
             return cached
+        if j != self._degree:
+            self._colorings.clear()
+            self._templates.clear()
+            self._degree = j
         degrees = self.a.degrees
         lo = min(degrees)
         hi = max(degrees)
@@ -205,11 +206,6 @@ class Cube:
         self._colorings[key] = out
         return out
 
-    def drop_colorings(self) -> None:
-        """Forget colorings and merge blocks, which are keyed by degree."""
-        self._colorings.clear()
-        self._templates.clear()
-
     def coloring_count(self, k: int, j: int) -> int:
         """len(colorings(k, j)) without materializing the tuples."""
         key = (k, j)
@@ -230,13 +226,10 @@ class Cube:
         return n
 
 
-def enumerate_basis(
-    g: Graph, a: Algebra, i: int, j: int, cube: Cube | None = None
-) -> StateBasis:
+def enumerate_basis(cube: Cube, i: int, j: int) -> StateBasis:
     """Basis of C^{i,j}: states with i edges and total color degree j."""
-    cube = cube or Cube(g, a)
     runs: list[BasisRun] = []
-    if 0 <= i <= g.edge_count and j >= 0:
+    if 0 <= i <= cube.g.edge_count and j >= 0:
         offset = 0
         for mask in cube.masks_by_count()[i]:
             part = cube.part(mask)
@@ -247,10 +240,9 @@ def enumerate_basis(
     return StateBasis(i, j, runs, cube)
 
 
-def slice_dimension(g: Graph, a: Algebra, i: int, j: int, cube: Cube | None = None) -> int:
+def slice_dimension(cube: Cube, i: int, j: int) -> int:
     """dim C^{i,j} from the cube's subset census, without enumerating states."""
-    cube = cube or Cube(g, a)
-    if not (0 <= i <= g.edge_count) or j < 0:
+    if not (0 <= i <= cube.g.edge_count) or j < 0:
         return 0
     return sum(n * cube.coloring_count(c, j) for c, n in enumerate(cube.census[i]))
 
@@ -297,28 +289,22 @@ def per_edge_image(
     ]
 
 
-def differential(
-    g: Graph,
-    a: Algebra,
-    i: int,
-    j: int,
-    cube: Cube | None = None,
-    src: StateBasis | None = None,
-    dst: StateBasis | None = None,
-) -> IntMatrix:
-    """Matrix of d^{i,j}: C^{i,j} -> C^{i+1,j} over the canonical bases.
+def differential(src: StateBasis, dst: StateBasis) -> IntMatrix:
+    """Matrix of d^{i,j} from the basis of C^{i,j} to that of C^{i+1,j}.
 
-    Each (source run, absent edge) pair writes one block at the two run
-    offsets, and distinct pairs write disjoint entries.  A target subset
+    Both bases belong to one cube, which supplies the graph and the merge
+    blocks.  Each (source run, absent edge) pair writes one block at the two
+    run offsets, and distinct pairs write disjoint entries.  A target subset
     without a run has no coloring of degree j, so its block is empty.
     """
-    cube = cube or Cube(g, a)
-    if src is None:
-        src = enumerate_basis(g, a, i, j, cube)
-    if dst is None:
-        dst = enumerate_basis(g, a, i + 1, j, cube)
+    cube = src.cube
+    j = src.j
+    if dst.cube is not cube or (dst.i, dst.j) != (src.i + 1, j):
+        raise ValueError(
+            f"d^{{{src.i},{j}}} needs the ({src.i + 1}, {j}) basis of the same cube"
+        )
     # (bit, bits below it, endpoints) per edge
-    edges = [(1 << e, (1 << e) - 1, u, w) for e, (u, w) in enumerate(g.edges)]
+    edges = [(1 << e, (1 << e) - 1, u, w) for e, (u, w) in enumerate(cube.g.edges)]
     dst_offsets = dst.offsets
     template = cube.template
     data: list[dict[int, int]] = [{} for _ in range(len(dst))]
@@ -344,18 +330,15 @@ def differential(
     return IntMatrix(len(dst), len(src), data)
 
 
-def dump_slice(g: Graph, a: Algebra, i: int, j: int, cube: Cube | None = None) -> str:
+def dump_slice(cube: Cube, i: int, j: int) -> str:
     """Debug dump: state listing and differential triplets for one slice."""
-    cube = cube or Cube(g, a)
-    src = enumerate_basis(g, a, i, j, cube)
-    dst = enumerate_basis(g, a, i + 1, j, cube)
+    src = enumerate_basis(cube, i, j)
+    dst = enumerate_basis(cube, i + 1, j)
+    width = max(cube.g.edge_count, 1)
     lines = [f"slice i={i} j={j} dim={len(src)}"]
     for k, s in enumerate(src.states):
-        lines.append(
-            f"state#{k}: subset=0b{s.subset:0{max(g.edge_count, 1)}b}, "
-            f"colors={list(s.coloring)}"
-        )
-    mat = differential(g, a, i, j, cube, src, dst)
+        lines.append(f"state#{k}: subset=0b{s.subset:0{width}b}, colors={list(s.coloring)}")
+    mat = differential(src, dst)
     lines.append(f"d^{{{i},{j}}}: {mat.rows}x{mat.cols}, nnz={mat.nnz}")
     for r, c, v in mat.triplets():
         lines.append(f"({r}, {c}, {v})")

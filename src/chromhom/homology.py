@@ -1,10 +1,11 @@
 """Cohomology groups: exact Smith reduction and slice-by-slice assembly.
 
 H^{i,j} = ker d^{i,j} / im d^{i-1,j} is reported as a free rank plus the
-ascending invariant-factor chain of its torsion.  Smith normal form runs on
-the compiled kernel when the extension is importable (falling back per
-matrix on int64 overflow), otherwise on the pure-Python reference kernel;
-both return the same invariant factors.
+ascending invariant-factor chain of its torsion.  Each process builds one
+``Cube`` for the (graph, algebra) pair and reads every slice from it.  Smith
+normal form runs on the compiled kernel when the extension is importable
+(falling back per matrix on int64 overflow), otherwise on the pure-Python
+reference kernel; both return the same invariant factors.
 """
 
 from __future__ import annotations
@@ -192,16 +193,6 @@ class BigradedHomology:
         }
         return cls(groups, data["algebra"], data["graph"], data.get("window"))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BigradedHomology):
-            return NotImplemented
-        return (
-            self.groups == other.groups
-            and self.algebra_spec == other.algebra_spec
-            and self.graph_fingerprint == other.graph_fingerprint
-            and self.window == other.window
-        )
-
 
 def default_j_range(g: Graph, a: Algebra) -> range:
     if not a.graded:
@@ -212,25 +203,23 @@ def default_j_range(g: Graph, a: Algebra) -> range:
 
 
 def _degree_slice_groups(
-    g: Graph, a: Algebra, j: int, verify_dd: bool, cube: Cube | None = None
+    cube: Cube, j: int, verify_dd: bool
 ) -> dict[tuple[int, int], AbelianGroup]:
-    """All nonzero H^{i,j} for one internal degree j (pure, self-contained).
+    """All nonzero H^{i,j} of the cube for one internal degree j.
 
     Each d^i is reduced as soon as it is built and then dropped, so at most
     one matrix is live (two with ``verify_dd``, which checks d^i o d^(i-1)).
     """
-    n = g.edge_count
-    cube = cube or Cube(g, a)
     groups: dict[tuple[int, int], AbelianGroup] = {}
-    src = enumerate_basis(g, a, 0, j, cube)
+    src = enumerate_basis(cube, 0, j)
     d_in: SNFResult | None = None
     prev: IntMatrix | None = None
-    for i in range(n + 1):
-        dst = enumerate_basis(g, a, i + 1, j, cube)
+    for i in range(cube.g.edge_count + 1):
+        dst = enumerate_basis(cube, i + 1, j)
         mat = None
         d_out = _EMPTY_SNF
         if len(src) and len(dst):
-            mat = differential(g, a, i, j, cube, src, dst)
+            mat = differential(src, dst)
             if prev is not None and not mat.compose(prev).is_zero():
                 raise EngineError(f"d o d != 0 at (i, j) = ({i - 1}, {j})")
             d_out = smith_normal_form(mat)
@@ -251,8 +240,7 @@ def _degree_batch_groups(
     cube = Cube(g, a)
     groups: dict[tuple[int, int], AbelianGroup] = {}
     for j in js:
-        groups.update(_degree_slice_groups(g, a, j, verify_dd, cube))
-        cube.drop_colorings()
+        groups.update(_degree_slice_groups(cube, j, verify_dd))
     return groups
 
 
@@ -366,7 +354,7 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
     nnz = 0
     for j in js:
         for i in range(n + 1):
-            dim = slice_dimension(g, a, i, j, cube)
+            dim = slice_dimension(cube, i, j)
             states += dim
             nnz = max(nnz, dim * (n - i) * terms)
     fill = _GRADED_FILL if a.graded else _UNGRADED_FILL

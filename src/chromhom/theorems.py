@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, make_deformed, make_truncated
 from .chromatic import Poly, Poly2, euler_check
-from .complexes import Cube, IntMatrix, differential, enumerate_basis
+from .complexes import Cube, IntMatrix, StateBasis, differential, enumerate_basis
 from .graph import (
     Graph,
     components,
@@ -158,7 +158,6 @@ def tensor_with_complement(h: BigradedHomology, a: Algebra) -> dict:
     A' is free, so the tensor multiplies free ranks and replicates torsion,
     with a degree shift per A' basis degree in the graded case.
     """
-    cells: dict[tuple[int, int], tuple[int, list[int]]] = {}
     if a.graded:
         ranks: dict[int, int] = {}
         for d in a.degrees[1:]:
@@ -168,10 +167,9 @@ def tensor_with_complement(h: BigradedHomology, a: Algebra) -> dict:
     acc: dict[tuple[int, int], list] = {}
     for (i, j), grp in h.groups.items():
         for d, r in ranks.items():
-            key = (i, j + d)
-            free, parts = acc.setdefault(key, [0, []])
-            acc[key][0] += r * grp.free_rank
-            acc[key][1].extend(list(grp.torsion) * r)
+            cell = acc.setdefault((i, j + d), [0, []])
+            cell[0] += r * grp.free_rank
+            cell[1].extend(list(grp.torsion) * r)
     out = {}
     for key, (free, parts) in acc.items():
         grp = group_from_cyclic(free, parts)
@@ -188,9 +186,15 @@ def find_pendant_edges(g: Graph) -> list[int]:
     ]
 
 
+def _endpoints(g: Graph, e: int) -> tuple[int, int]:
+    if not 0 <= e < g.edge_count:
+        raise ValueError(f"edge {e} is not in 0..{g.edge_count - 1}")
+    return g.edges[e]
+
+
 def check_pendant(g: Graph, e: int, a: Algebra) -> CheckReport:
     """H^*(G) == H^*(G/e) tensor A' when e is a pendant edge."""
-    u, w = g.edges[e]
+    u, w = _endpoints(g, e)
     if u == w or (g.degree(u) != 1 and g.degree(w) != 1):
         raise ValueError(f"edge {e} is not pendant")
     params = {"graph": g.to_json_dict(), "edge": e, "algebra": a.spec}
@@ -207,17 +211,23 @@ def check_pendant(g: Graph, e: int, a: Algebra) -> CheckReport:
     return CheckReport("pendant", params, False, witness=diff)
 
 
-def _unit_column_map(m: IntMatrix) -> dict[int, int] | None:
-    """col -> row when every column is a single +1 entry with distinct rows."""
-    out: dict[int, int] = {}
-    for r, row in enumerate(m.data):
-        for c, v in row.items():
-            if v != 1 or c in out:
-                return None
-            out[c] = r
-    if len(out) != m.cols or len(set(out.values())) != m.cols:
-        return None
-    return out
+def _run_inclusion(runs, cols: int, dst: StateBasis, bit: int) -> IntMatrix | None:
+    """Identity block from each run onto the run of ``dst`` at its mask | bit.
+
+    ``cols`` is the size of the source basis.  None when a target run is
+    missing or has another component count, so its colorings differ.
+    """
+    targets = {run.mask: run for run in dst.runs}
+    data: list[dict[int, int]] = [{} for _ in range(len(dst))]
+    for run in runs:
+        target = targets.get(run.mask | bit)
+        if target is None or (
+            target.partition.component_count != run.partition.component_count
+        ):
+            return None
+        for t in range(run.count):
+            data[target.offset + t][run.offset + t] = 1
+    return IntMatrix(len(dst), cols, data)
 
 
 def check_del_contract_exactness(g: Graph, e: int, a: Algebra) -> CheckReport:
@@ -226,11 +236,12 @@ def check_del_contract_exactness(g: Graph, e: int, a: Algebra) -> CheckReport:
     The distinguished edge is relabeled last internally so the inclusion of
     contracted states needs no signs; with that ordering the checker builds
     alpha (insert e, transport colors along the component bijection) and
-    beta (project to states without e) and verifies injectivity,
-    surjectivity, beta o alpha = 0, exactness of the middle term, the
-    dimension identity, and commutation with both differentials.
+    beta (project to states without e), each an identity block per run,
+    and verifies that alpha is onto the runs with e and beta onto the runs
+    of G - e, the dimension identity, and commutation with both
+    differentials.
     """
-    u, w = g.edges[e]
+    u, w = _endpoints(g, e)
     if u == w:
         raise ValueError("exactness needs a non-loop edge")
     params = {"graph": g.to_json_dict(), "edge": e, "algebra": a.spec}
@@ -238,11 +249,9 @@ def check_del_contract_exactness(g: Graph, e: int, a: Algebra) -> CheckReport:
     reordered = Graph(
         g.vertex_count, tuple(ed for k, ed in enumerate(g.edges) if k != e) + (g.edges[e],)
     )
-    g_del = delete_edge(reordered, n - 1)
-    g_con = contract_edge(reordered, n - 1)
     cube_g = Cube(reordered, a)
-    cube_d = Cube(g_del, a)
-    cube_c = Cube(g_con, a)
+    cube_d = Cube(delete_edge(reordered, n - 1), a)
+    cube_c = Cube(contract_edge(reordered, n - 1), a)
     last_bit = 1 << (n - 1)
 
     def fail(i, j, what):
@@ -252,61 +261,35 @@ def check_del_contract_exactness(g: Graph, e: int, a: Algebra) -> CheckReport:
         )
 
     for j in default_j_range(reordered, a):
-        basis_g = [enumerate_basis(reordered, a, i, j, cube_g) for i in range(n + 2)]
-        basis_d = [enumerate_basis(g_del, a, i, j, cube_d) for i in range(n + 1)]
-        basis_c = [enumerate_basis(g_con, a, i, j, cube_c) for i in range(n + 1)]
-        d_g = [
-            differential(reordered, a, i, j, cube_g, basis_g[i], basis_g[i + 1])
-            for i in range(n + 1)
-        ]
-        d_d = [
-            differential(g_del, a, i, j, cube_d, basis_d[i], basis_d[i + 1])
-            for i in range(n)
-        ]
-        d_c = [
-            differential(g_con, a, i, j, cube_c, basis_c[i], basis_c[i + 1])
-            for i in range(n)
-        ]
+        basis_g = [enumerate_basis(cube_g, i, j) for i in range(n + 2)]
+        basis_d = [enumerate_basis(cube_d, i, j) for i in range(n + 1)]
+        # basis_c[i] is C^{i-1,j}(G/e), the source of alpha_i
+        basis_c = [enumerate_basis(cube_c, i - 1, j) for i in range(n + 1)]
+        d_g = [differential(basis_g[i], basis_g[i + 1]) for i in range(n + 1)]
+        d_d = [differential(basis_d[i], basis_d[i + 1]) for i in range(n)]
+        d_c = [differential(basis_c[i], basis_c[i + 1]) for i in range(1, n)]
         alphas = []
         betas = []
         for i in range(n + 1):
             # alpha: C^{i-1,j}(G/e) -> C^{i,j}(G), insert the last edge.
-            data: list[dict[int, int]] = [{} for _ in range(len(basis_g[i]))]
-            if 1 <= i <= n:
-                for col, (subset, coloring) in enumerate(basis_c[i - 1].states):
-                    target = (subset | last_bit, coloring)
-                    row = basis_g[i].index.get(target)
-                    if row is None:
-                        return fail(i, j, "alpha image state missing")
-                    data[row][col] = 1
-            cols_c = len(basis_c[i - 1]) if i >= 1 else 0
-            alpha = IntMatrix(len(basis_g[i]), cols_c, data)
+            alpha = _run_inclusion(basis_c[i].runs, len(basis_c[i]), basis_g[i], last_bit)
+            if alpha is None:
+                return fail(i, j, "alpha image state missing")
             # beta: C^{i,j}(G) -> C^{i,j}(G-e), drop states containing e.
-            data = [{} for _ in range(len(basis_d[i]))]
-            for col, (subset, coloring) in enumerate(basis_g[i].states):
-                if not subset & last_bit:
-                    row = basis_d[i].index.get((subset, coloring))
-                    if row is None:
-                        return fail(i, j, "beta image state missing")
-                    data[row][col] = 1
-            beta = IntMatrix(len(basis_d[i]), len(basis_g[i]), data)
+            without_e = [run for run in basis_g[i].runs if not run.mask & last_bit]
+            beta = _run_inclusion(without_e, len(basis_g[i]), basis_d[i], 0)
+            if beta is None:
+                return fail(i, j, "beta image state missing")
             alphas.append(alpha)
             betas.append(beta)
 
-            if len(basis_g[i]) != cols_c + len(basis_d[i]):
+            if len(basis_g[i]) != len(basis_c[i]) + len(basis_d[i]):
                 return fail(i, j, "dimension identity")
-            amap = _unit_column_map(alpha)
-            if amap is None:
-                return fail(i, j, "alpha not an injective basis inclusion")
-            if not beta.compose(alpha).is_zero():
-                return fail(i, j, "beta o alpha != 0")
-            hit_rows = set(amap.values())
-            with_e = {
-                k for k, st in enumerate(basis_g[i].states) if st.subset & last_bit
-            }
-            if hit_rows != with_e:
+            # alpha and beta map runs one-to-one, so they are onto when the
+            # run counts agree
+            if len(basis_c[i].runs) != len(basis_g[i].runs) - len(without_e):
                 return fail(i, j, "image of alpha != kernel of beta")
-            if not all(beta.data) or beta.nnz != len(basis_g[i]) - len(with_e):
+            if len(basis_d[i].runs) != len(without_e):
                 return fail(i, j, "beta not a surjective basis projection")
         for i in range(n):
             # d_G o alpha_i == alpha_{i+1} o d_{G/e}

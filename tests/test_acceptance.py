@@ -232,8 +232,6 @@ def test_criterion_07_euler_characteristic_everywhere():
     for g, a, h in RESULTS:
         if not a.graded:
             continue
-        if a.window is not None:
-            continue  # restricted-degree computations cannot balance
         rep = euler_check(g, a, h)
         if not rep.passed:
             bad.append((g.to_json_dict(), a.spec, rep.residuals))

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import whitney_chromatic
 
-from chromhom.algebra import make_deformed, make_truncated
+from chromhom.algebra import make_deformed, make_poly_window, make_truncated
 from chromhom.chromatic import (
     Poly,
     chromatic_polynomial,
@@ -12,7 +12,7 @@ from chromhom.chromatic import (
     qdim_poly,
 )
 from chromhom.graph import Graph, complete, contract_edge, cycle, delete_edge, path, wedge
-from chromhom.homology import compute_all
+from chromhom.homology import AbelianGroup, compute_all
 
 
 def test_poly_arithmetic():
@@ -116,11 +116,23 @@ def test_euler_check_detects_tampering():
     g = cycle(3)
     a = make_truncated(2)
     h = compute_all(g, a)
-    from chromhom.homology import AbelianGroup
 
     h.groups[(0, 2)] = AbelianGroup(5)  # corrupt
     rep = euler_check(g, a, h)
     assert not rep.passed and 2 in rep.residuals
+
+
+def test_euler_check_compares_window_algebras_inside_the_window():
+    g = cycle(4)
+    a = make_poly_window(3)
+    h = compute_all(g, a)
+    assert euler_check(g, a, h).passed
+    for j in range(a.window + 1):
+        tampered = compute_all(g, a)
+        grp = tampered.group(0, j)
+        tampered.groups[(0, j)] = AbelianGroup(grp.free_rank + 1, grp.torsion)
+        rep = euler_check(g, a, tampered)
+        assert not rep.passed and j in rep.residuals, j
 
 
 def test_euler_check_rejects_ungraded():

@@ -9,7 +9,10 @@ from chromhom.algebra import make_truncated
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -145,6 +148,29 @@ def test_usage_errors_exit_2(capsys):
             capsys, "bases", "--graph", "gen:cycle:3", "--algebra", "trunc:2", flag, "1",
         )
         assert code == 2 and not out and "--i" in err
+    for argv in (
+        ["compute", "--algebra", "trunc:2"],
+        ["compute", "--graph", "gen:cycle:3"],
+        ["chromatic"],
+        ["bases", "--graph", "gen:cycle:3"],
+        ["bases", "--algebra", "trunc:2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out and "required" in err, argv
+    for check in ("vanishing", "thickness", "pendant", "exactness", "dichotomy", "vgon"):
+        code, out, err = run_cli(capsys, "verify", "--check", check, "--algebra", "trunc:2")
+        assert code == 2 and not out and "--graph" in err, check
+        if check != "dichotomy":
+            code, out, err = run_cli(capsys, "verify", "--check", check, "--graph", "gen:cycle:3")
+            assert code == 2 and not out and "--algebra" in err, check
+    for check in ("exactness", "pendant"):
+        for edge in ("-1", "5"):
+            # the path has edges 0 and 1, both pendant
+            code, out, err = run_cli(
+                capsys, "verify", "--check", check, "--graph", "gen:path:3",
+                "--algebra", "trunc:2", "--edge", edge,
+            )
+            assert code == 2 and not out and "edge" in err, (check, edge)
     from chromhom.graph import Graph
     from chromhom.homology import estimate_peak_bytes
 
@@ -167,6 +193,13 @@ def test_more_single_checks(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert json.loads(out.splitlines()[0])["passed"]
+
+
+def test_window_compute_passes_the_euler_check(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "--graph", "gen:cycle:3", "--algebra", "window:3",
+    )
+    assert code == 0 and out and not err
 
 
 def test_window_violation_exit_2(capsys):

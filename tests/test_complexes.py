@@ -39,15 +39,20 @@ def random_multigraph(rng: random.Random, max_vertices: int, max_edges: int) -> 
     )
 
 
+def slice_matrix(cube: Cube, i: int, j: int):
+    return differential(enumerate_basis(cube, i, j), enumerate_basis(cube, i + 1, j))
+
+
 def test_enumerate_counts_match_examples():
-    assert len(enumerate_basis(P3, A2, 0, 3)) == 1
-    assert enumerate_basis(P3, A2, 0, 3).states[0] == EnhancedState(0, (1, 1, 1))
-    assert len(enumerate_basis(P3, A2, 0, 2)) == 3
-    assert len(enumerate_basis(P3, A2, 5, 1)) == 0
+    cube = Cube(P3, A2)
+    assert len(enumerate_basis(cube, 0, 3)) == 1
+    assert enumerate_basis(cube, 0, 3).states[0] == EnhancedState(0, (1, 1, 1))
+    assert len(enumerate_basis(cube, 0, 2)) == 3
+    assert len(enumerate_basis(cube, 5, 1)) == 0
 
 
 def test_enumerate_order_is_lexicographic():
-    basis = enumerate_basis(P3, A2, 1, 1)
+    basis = enumerate_basis(Cube(P3, A2), 1, 1)
     pairs = [(s.subset, s.coloring) for s in basis.states]
     assert pairs == sorted(pairs)
 
@@ -57,14 +62,15 @@ def test_counts_match_counting_polynomial():
     g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
     a = make_truncated(3)
     qd = qdim_poly(a)
+    cube = Cube(g, a)
     for i in range(g.edge_count + 1):
         expected = Poly()
         for mask in range(1 << g.edge_count):
             if mask.bit_count() == i:
                 expected = expected + qd ** components(g, mask).component_count
         for j in range(10):
-            assert slice_dimension(g, a, i, j) == expected.coeff(j)
-            assert len(enumerate_basis(g, a, i, j)) == expected.coeff(j)
+            assert slice_dimension(cube, i, j) == expected.coeff(j)
+            assert len(enumerate_basis(cube, i, j)) == expected.coeff(j)
 
 
 def test_per_edge_image_identity_on_cycle_closing():
@@ -102,7 +108,7 @@ def test_per_edge_image_deformed_coefficients():
 def test_triangle_d02_matrix_is_the_displayed_one():
     # Each source state (one vertex colored 1) maps to the two one-edge
     # states whose edge touches that vertex, all coefficients +1.
-    mat = differential(P3, A2, 0, 2)
+    mat = slice_matrix(Cube(P3, A2), 0, 2)
     assert (mat.rows, mat.cols) == (3, 3)
     assert mat.triplets() == [
         (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 1), (2, 0, 1), (2, 2, 1),
@@ -110,14 +116,40 @@ def test_triangle_d02_matrix_is_the_displayed_one():
 
 
 def test_sign_flip_on_second_edge():
-    # source: one edge present (e_0), adding e_1 has one set bit below it
-    basis = enumerate_basis(P3, A2, 1, 2)
-    mat = differential(P3, A2, 1, 2)
-    src = basis.index[EnhancedState(0b001, (1, 1))]
-    dst_basis = enumerate_basis(P3, A2, 2, 2)
-    dst = dst_basis.index.get(EnhancedState(0b011, (1,)))
-    if dst is not None:
-        assert mat.data[dst].get(src, 0) <= 0
+    # source: one edge present (e_0), adding e_1 has one set bit below it;
+    # e_1 merges the colors 1 and x into x
+    cube = Cube(P3, A2)
+    src = enumerate_basis(cube, 1, 1)
+    dst = enumerate_basis(cube, 2, 1)
+    col = src.states.index(EnhancedState(0b001, (0, 1)))
+    row = dst.states.index(EnhancedState(0b011, (1,)))
+    assert differential(src, dst).data[row][col] == -1
+
+
+def test_differential_needs_adjacent_bases_of_one_cube():
+    cube = Cube(P3, A2)
+    src = enumerate_basis(cube, 0, 2)
+    for dst in (
+        enumerate_basis(Cube(P3, A2), 1, 2),  # an equal graph, another cube
+        enumerate_basis(cube, 2, 2),
+        enumerate_basis(cube, 1, 1),
+        src,
+    ):
+        with pytest.raises(ValueError):
+            differential(src, dst)
+
+
+def test_cube_keeps_colorings_of_one_degree():
+    g = complete(4)
+    cube = Cube(g, A2)
+    for j in (2, 3):
+        for i in range(g.edge_count):
+            slice_matrix(cube, i, j)
+    assert {key[1] for key in cube._colorings} == {3}
+    assert cube._templates and {key[3] for key in cube._templates} == {3}
+    # a basis of the dropped degree still lists its states
+    assert len(enumerate_basis(cube, 1, 2).states) == slice_dimension(cube, 1, 2)
+    assert {key[1] for key in cube._colorings} == {2}
 
 
 def test_dd_zero_random():
@@ -132,8 +164,8 @@ def test_dd_zero_random():
         jmax = a.max_degree * v if a.graded else 0
         for j in range(jmax + 1):
             for i in range(g.edge_count):
-                d1 = differential(g, a, i, j, cube)
-                d2 = differential(g, a, i + 1, j, cube)
+                d1 = slice_matrix(cube, i, j)
+                d2 = slice_matrix(cube, i + 1, j)
                 assert d2.compose(d1).is_zero(), (g, a.spec, i, j)
 
 
@@ -145,7 +177,7 @@ def test_degree_preservation():
     for _ in range(60):
         i = rng.randint(0, 3)
         j = rng.randint(0, 10)
-        basis = enumerate_basis(g, a, i, j, cube)
+        basis = enumerate_basis(cube, i, j)
         if not basis.states:
             continue
         state = rng.choice(basis.states)
@@ -165,13 +197,14 @@ def test_edge_cap():
 
 
 def test_dump_slice_format():
-    text = dump_slice(P3, A2, 0, 2)
+    text = dump_slice(Cube(P3, A2), 0, 2)
     assert "state#0: subset=0b000, colors=[0, 1, 1]" in text
     assert "(0, 0, 1)" in text
 
 
 def reference_differential(g, a, src, dst) -> dict[tuple[int, int], int]:
     """d^{i,j} built state by state from per_edge_image and the sign rule."""
+    rows = {s: n for n, s in enumerate(dst.states)}
     entries: dict[tuple[int, int], int] = {}
     for col, state in enumerate(src.states):
         for e in range(g.edge_count):
@@ -179,7 +212,7 @@ def reference_differential(g, a, src, dst) -> dict[tuple[int, int], int]:
                 continue
             sign = -1 if (state.subset & ((1 << e) - 1)).bit_count() & 1 else 1
             for target, coeff in per_edge_image(g, a, state, e):
-                key = (dst.index[target], col)
+                key = (rows[target], col)
                 entries[key] = entries.get(key, 0) + sign * coeff
     return {k: v for k, v in entries.items() if v}
 
@@ -198,14 +231,13 @@ def test_block_assembly_matches_per_state_rule():
             a = parse_algebra_spec(spec)
             cube = Cube(g, a)
             for j in default_j_range(g, a):
-                bases = [enumerate_basis(g, a, i, j, cube) for i in range(g.edge_count + 2)]
+                bases = [enumerate_basis(cube, i, j) for i in range(g.edge_count + 2)]
                 for i, basis in enumerate(bases[:-1]):
-                    assert len(basis) == slice_dimension(g, a, i, j, cube)
+                    assert len(basis) == slice_dimension(cube, i, j)
                     pairs = [(s.subset, s.coloring) for s in basis.states]
-                    assert pairs == sorted(pairs)
-                    assert all(basis.index[s] == n for n, s in enumerate(basis.states))
-                    assert len(basis.index) == len(basis)
-                    mat = differential(g, a, i, j, cube, basis, bases[i + 1])
+                    assert pairs == sorted(set(pairs))
+                    assert len(pairs) == len(basis)
+                    mat = differential(basis, bases[i + 1])
                     assert (mat.rows, mat.cols) == (len(bases[i + 1]), len(basis))
                     got = {(r, c): v for r, c, v in mat.triplets()}
                     assert got == reference_differential(
@@ -232,7 +264,7 @@ def test_bases_dump_is_unchanged():
             a = parse_algebra_spec(spec)
             for j in default_j_range(g, a):
                 for i in range(g.edge_count + 1):
-                    digest.update(dump_slice(g, a, i, j).encode() + b"\n")
+                    digest.update(dump_slice(Cube(g, a), i, j).encode() + b"\n")
     assert digest.hexdigest() == (
         "9cd8fb868db5c952d8bc3287556fb0f32ced3842d1d7b1aa068e3b2869599611"
     )

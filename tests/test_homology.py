@@ -181,9 +181,9 @@ def test_verify_dd_names_the_broken_composite(monkeypatch, bad_i, named_i):
 
     real = hom.differential
 
-    def flipped(g, a, i, j, *args):
-        m = real(g, a, i, j, *args)
-        if (i, j) == (bad_i, 2):
+    def flipped(src, dst):
+        m = real(src, dst)
+        if (src.i, src.j) == (bad_i, 2):
             row = next(row for row in m.data if row)
             c = min(row)
             row[c] = -row[c]

@@ -89,6 +89,14 @@ def test_exactness_small():
         check_del_contract_exactness(cycle(1), 0, A2)
 
 
+def test_edge_checks_refuse_edges_outside_the_graph():
+    # -1 would otherwise name the last edge, 3 is past it
+    for check in (check_del_contract_exactness, check_pendant):
+        for e in (-1, 3):
+            with pytest.raises(ValueError, match="edge"):
+                check(cycle(3), e, A2)
+
+
 def test_exactness_on_multigraphs():
     # contracting an edge with a parallel partner creates a loop in G/e
     assert check_del_contract_exactness(cycle(2), 0, A2).passed
