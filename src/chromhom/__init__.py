@@ -2,7 +2,6 @@
 
 from .algebra import (
     Algebra,
-    QDim,
     make_deformed,
     make_poly_window,
     make_truncated,
@@ -13,7 +12,6 @@ from .algebra import (
 from .chromatic import (
     EulerReport,
     Poly,
-    Poly2,
     chromatic_polynomial,
     euler_check,
 )
@@ -56,6 +54,7 @@ from .homology import (
     cokernel_oracle,
     compiled_kernel_available,
     compute_all,
+    degree_range,
     group_from_cyclic,
     homology_group,
     poincare_series,

@@ -4,12 +4,13 @@ An algebra is given by a basis (element 0 is the unit), integer degrees and
 dense multiplication structure constants.  Every constructor output is
 validated exhaustively over the basis: unit law, commutativity,
 associativity, and degree homogeneity when graded.  Ranks stay small
-(<= ~12), so the r^3 validation cost is irrelevant.
+(<= ~12), so the r^3 validation cost is irrelevant.  ``qdim`` gives the
+graded dimension of a graded algebra as a ``{degree: rank}`` dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -86,20 +87,14 @@ def multiply(a: Algebra, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, .
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class QDim:
+def qdim(a: Algebra) -> dict[int, int]:
     """Graded dimension: degree -> rank of the homogeneous part."""
-
-    coefficients: dict[int, int] = field(default_factory=dict)
-
-
-def qdim(a: Algebra) -> QDim:
     if not a.graded:
         raise ValueError("graded dimension needs a graded algebra")
     coeff: dict[int, int] = {}
     for d in a.degrees:
         coeff[d] = coeff.get(d, 0) + 1
-    return QDim(coeff)
+    return coeff
 
 
 def _monomial_labels(m: int) -> tuple[str, ...]:
@@ -167,16 +162,7 @@ def make_poly_window(J: int) -> Algebra:
     """
     if J < 0:
         raise ValueError("window must be >= 0")
-    base = make_truncated(J + 1)
-    return Algebra(
-        base.rank,
-        base.basis_labels,
-        base.degrees,
-        base.mult,
-        True,
-        f"window:{J}",
-        window=J,
-    )
+    return replace(make_truncated(J + 1), spec=f"window:{J}", window=J)
 
 
 def parse_algebra_spec(spec: str) -> Algebra:

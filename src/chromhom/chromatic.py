@@ -117,38 +117,8 @@ class Poly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-class Poly2:
-    """Two-variable polynomial in (t, q) with integer coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        self.c = {k: v for k, v in (coeffs or {}).items() if v}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.c == other.c
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, 0) + v
-        return Poly2(out)
-
-    def coeff(self, i: int, j: int) -> int:
-        return self.c.get((i, j), 0)
-
-    def __repr__(self) -> str:
-        if not self.c:
-            return "0"
-        terms = []
-        for (i, j) in sorted(self.c):
-            v = self.c[(i, j)]
-            terms.append(f"{v}*t^{i}*q^{j}")
-        return " + ".join(terms)
-
-
 def qdim_poly(a: Algebra) -> Poly:
-    return Poly(dict(qdim(a).coefficients))
+    return Poly(qdim(a))
 
 
 def chromatic_polynomial(g: Graph) -> Poly:

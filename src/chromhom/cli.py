@@ -17,11 +17,10 @@ import sys
 from . import theorems
 from .algebra import parse_algebra_spec
 from .chromatic import chromatic_polynomial, euler_check
-from .complexes import Cube, dump_slice, slice_dimension
+from .complexes import Cube, dump_slice, enumerate_basis, slice_dimension
 from .graph import (
     MAX_EDGES,
     Graph,
-    GraphFormatError,
     complete,
     cycle,
     load_graph,
@@ -30,9 +29,8 @@ from .graph import (
 )
 from .homology import (
     BigradedHomology,
-    WindowError,
     compute_all,
-    default_j_range,
+    degree_range,
     estimate_peak_bytes,
     peak_bytes_floor,
 )
@@ -150,7 +148,7 @@ def cmd_compute(args) -> int:
     if args.format == "json":
         print(json.dumps(h.to_json_dict()))
     elif args.format == "triplets":
-        _print_slices(g, a, j_range if j_range is not None else default_j_range(g, a))
+        _print_slices(Cube(g, a), degree_range(g, a, j_range))
     else:
         print(render_table(h))
     # The Euler identity needs every degree; restricted ranges skip it.
@@ -172,20 +170,26 @@ def cmd_bases(args) -> int:
         raise ValueError("--i and --j name one slice; give both or neither")
     g = parse_graph_spec(args.graph)
     a = parse_algebra_spec(args.algebra)
+    js = degree_range(g, a, None if args.j is None else [args.j])
     _check_memory(g, a, None, args.memory_cap)
-    if args.i is not None:
-        print(dump_slice(Cube(g, a), args.i, args.j))
-        return 0
-    _print_slices(g, a, default_j_range(g, a))
+    cube = Cube(g, a)
+    if args.i is None:
+        _print_slices(cube, js)
+    else:
+        i, j = args.i, args.j
+        print(dump_slice(enumerate_basis(cube, i, j), enumerate_basis(cube, i + 1, j)))
     return 0
 
 
-def _print_slices(g, a, js) -> None:
-    cube = Cube(g, a)
+def _print_slices(cube: Cube, js) -> None:
+    """Dump the nonempty slices of each degree, enumerating each basis once."""
     for j in js:
-        for i in range(g.edge_count + 1):
+        dst = None
+        for i in range(cube.g.edge_count + 1):
             if slice_dimension(cube, i, j):
-                print(dump_slice(cube, i, j))
+                src = dst if dst is not None and dst.i == i else enumerate_basis(cube, i, j)
+                dst = enumerate_basis(cube, i + 1, j)
+                print(dump_slice(src, dst))
 
 
 # the options a single check reads that have no default
@@ -306,7 +310,7 @@ def main(argv=None) -> int:
     except MemoryCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GraphFormatError, WindowError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GraphFormatError and WindowError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,9 @@ colored in a fixed order, so a subset is an offset and a count.  The map
 from subset s to s + e then depends only on how the partition changes: the
 identity on the run of s for a cycle-closing edge, or a block fixed by
 (component count, merged positions, degree) for a merging edge.  The
-differential writes these blocks at the two run offsets.
+differential writes these blocks at the two run offsets.  ``dump_slice``
+takes the same two bases as ``differential``, so a dump of many slices can
+pass each basis on from one slice to the next.
 """
 
 from __future__ import annotations
@@ -207,14 +209,16 @@ class Cube:
         return out
 
     def coloring_count(self, k: int, j: int) -> int:
-        """len(colorings(k, j)) without materializing the tuples."""
+        """len(colorings(k, j)), counted by a memoized recursion on k.
+
+        It never lists the colorings, so it can size slices whose colorings
+        would be too many to list.
+        """
         key = (k, j)
         got = self._counts.get(key)
         if got is not None:
             return got
-        if key in self._colorings:
-            n = len(self._colorings[key])
-        elif k == 0:
+        if k == 0:
             n = 1 if j == 0 else 0
         else:
             n = sum(
@@ -330,11 +334,11 @@ def differential(src: StateBasis, dst: StateBasis) -> IntMatrix:
     return IntMatrix(len(dst), len(src), data)
 
 
-def dump_slice(cube: Cube, i: int, j: int) -> str:
-    """Debug dump: state listing and differential triplets for one slice."""
-    src = enumerate_basis(cube, i, j)
-    dst = enumerate_basis(cube, i + 1, j)
-    width = max(cube.g.edge_count, 1)
+def dump_slice(src: StateBasis, dst: StateBasis) -> str:
+    """Debug dump of one slice: the states of ``src`` and the triplets of
+    the differential from it to ``dst``, the next basis of its degree."""
+    i, j = src.i, src.j
+    width = max(src.cube.g.edge_count, 1)
     lines = [f"slice i={i} j={j} dim={len(src)}"]
     for k, s in enumerate(src.states):
         lines.append(f"state#{k}: subset=0b{s.subset:0{width}b}, colors={list(s.coloring)}")

@@ -1,11 +1,14 @@
 """Cohomology groups: exact Smith reduction and slice-by-slice assembly.
 
 H^{i,j} = ker d^{i,j} / im d^{i-1,j} is reported as a free rank plus the
-ascending invariant-factor chain of its torsion.  Each process builds one
-``Cube`` for the (graph, algebra) pair and reads every slice from it.  Smith
-normal form runs on the compiled kernel when the extension is importable
-(falling back per matrix on int64 overflow), otherwise on the pure-Python
-reference kernel; both return the same invariant factors.
+ascending invariant-factor chain of its torsion; ``poincare_series`` reads
+the free ranks off as a ``{(i, j): rank}`` dict.  ``degree_range`` is the
+one place that decides, and checks, which internal degrees j a computation
+or a memory estimate covers.  Each process builds one ``Cube`` for the
+(graph, algebra) pair and reads every slice from it.  Smith normal form runs
+on the compiled kernel when the extension is importable (falling back per
+matrix on int64 overflow), otherwise on the pure-Python reference kernel;
+both return the same invariant factors.
 """
 
 from __future__ import annotations
@@ -130,18 +133,15 @@ def group_from_cyclic(free_rank: int, parts) -> AbelianGroup:
     return AbelianGroup(free_rank, invariant_factors_from_cyclic(parts))
 
 
-def homology_group(
-    dim_cij: int, d_in: SNFResult | None, d_out_rank: int
-) -> AbelianGroup:
+def homology_group(dim_cij: int, d_in: SNFResult, d_out_rank: int) -> AbelianGroup:
     """ker/im quotient of one slice from the surrounding SNF data."""
-    rank_in = d_in.rank if d_in is not None else 0
-    free = dim_cij - d_out_rank - rank_in
+    free = dim_cij - d_out_rank - d_in.rank
     if free < 0:
         raise EngineError(
             "rank(d_in) + rank(d_out) exceeds the chain dimension; "
             "the differential assembly is broken"
         )
-    torsion = tuple(f for f in (d_in.factors if d_in else ()) if f > 1)
+    torsion = tuple(f for f in d_in.factors if f > 1)
     return AbelianGroup(free, torsion)
 
 
@@ -194,12 +194,28 @@ class BigradedHomology:
         return cls(groups, data["algebra"], data["graph"], data.get("window"))
 
 
-def default_j_range(g: Graph, a: Algebra) -> range:
-    if not a.graded:
-        return range(0, 1)
-    if a.window is not None:
-        return range(0, a.window + 1)
-    return range(0, a.max_degree * g.vertex_count + 1)
+def degree_range(g: Graph, a: Algebra, j_range=None) -> list[int]:
+    """The internal degrees j a computation over (g, a) covers, ascending.
+
+    ``None`` means every degree: 0 .. max_degree * v, or 0 .. J for a
+    ``window:J`` algebra, and the single j-collapsed slice j = 0 for an
+    ungraded one.  A given ``j_range`` (an iterable of j values) is
+    de-duplicated and checked: a degree above a window raises WindowError,
+    and j != 0 on an ungraded algebra or a negative j raises ValueError.
+    """
+    if j_range is None:
+        if not a.graded:
+            return [0]
+        top = a.window if a.window is not None else a.max_degree * g.vertex_count
+        return list(range(top + 1))
+    js = sorted(set(int(j) for j in j_range))
+    if a.window is not None and any(j > a.window for j in js):
+        raise WindowError(f"degree window is {a.window}; higher degrees are not certified")
+    if not a.graded and any(j != 0 for j in js):
+        raise ValueError("ungraded algebras have a single slice at j = 0")
+    if any(j < 0 for j in js):
+        raise ValueError("degrees are nonnegative")
+    return js
 
 
 def _degree_slice_groups(
@@ -212,7 +228,7 @@ def _degree_slice_groups(
     """
     groups: dict[tuple[int, int], AbelianGroup] = {}
     src = enumerate_basis(cube, 0, j)
-    d_in: SNFResult | None = None
+    d_in = _EMPTY_SNF
     prev: IntMatrix | None = None
     for i in range(cube.g.edge_count + 1):
         dst = enumerate_basis(cube, i + 1, j)
@@ -260,27 +276,14 @@ def compute_all(
 ) -> BigradedHomology:
     """All cohomology groups H^{i,j}(G) over A, exactly.
 
-    ``j_range`` restricts the internal degree (an iterable of j values); for
-    ungraded algebras there is a single j-collapsed slice at j = 0.  Degree
-    slices are independent computations, so with ``jobs`` > 1 they run on a
-    process pool; results merge only at aggregation.
+    ``j_range`` restricts the internal degree; ``degree_range`` resolves and
+    checks it.  Degree slices are independent computations, so with
+    ``jobs`` > 1 they run on a process pool; results merge only at
+    aggregation.
     """
-    n = g.edge_count
-    if n > MAX_EDGES:
+    if g.edge_count > MAX_EDGES:
         raise ValueError(f"graphs are capped at {MAX_EDGES} edges")
-    if j_range is None:
-        js = list(default_j_range(g, a))
-    else:
-        js = sorted(set(int(j) for j in j_range))
-        if a.window is not None and any(j > a.window for j in js):
-            raise WindowError(
-                f"degree window is {a.window}; higher degrees are not certified"
-            )
-        if not a.graded and any(j != 0 for j in js):
-            raise ValueError("ungraded algebras have a single slice at j = 0")
-        if any(j < 0 for j in js):
-            raise ValueError("degrees are nonnegative")
-
+    js = degree_range(g, a, j_range)
     workers = _worker_count(jobs, len(js))
     if workers > 1:
         groups: dict[tuple[int, int], AbelianGroup] = {}
@@ -299,13 +302,9 @@ def compute_all(
     return BigradedHomology(groups, a.spec, g.to_json_dict(), a.window)
 
 
-def poincare_series(h: BigradedHomology):
-    """Free ranks as a two-variable polynomial in (t, q)."""
-    from .chromatic import Poly2
-
-    return Poly2(
-        {(i, j): grp.free_rank for (i, j), grp in h.groups.items() if grp.free_rank}
-    )
+def poincare_series(h: BigradedHomology) -> dict[tuple[int, int], int]:
+    """Free ranks as the nonzero coefficients of t^i q^j: {(i, j): rank}."""
+    return {(i, j): grp.free_rank for (i, j), grp in h.groups.items() if grp.free_rank}
 
 
 # Bytes per item, measured on CPython 3.11 (64-bit) with the pure kernel and
@@ -325,7 +324,7 @@ _UNGRADED_FILL = 4
 def peak_bytes_floor(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> int:
     """The partition term of ``estimate_peak_bytes``: a lower bound on it that,
     unlike the census (exponential on wide or dense graphs), counts nothing."""
-    js = default_j_range(g, a) if j_range is None else j_range
+    js = degree_range(g, a, j_range)
     return _worker_count(jobs, len(js)) * (1 << g.edge_count) * _SUBSET_BYTES
 
 
@@ -340,14 +339,15 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
     A differential's nonzeros are bounded by dim C^{i,j} times the n - i
     absent edges times the most terms any product of two basis elements
     has.  Dimensions come from one subset census: the estimate holds no
-    per-subset data.  Past ``MAX_EDGES`` edges ``Cube`` raises ValueError.
+    per-subset data.  Past ``MAX_EDGES`` edges ``Cube`` raises ValueError,
+    and ``degree_range`` refuses the degrees ``compute_all`` refuses.
 
     When ``compute_all(..., jobs=jobs)`` would run a pool, every worker is
     priced as a whole computation.
     """
     cube = Cube(g, a)
     n = g.edge_count
-    js = list(default_j_range(g, a)) if j_range is None else list(j_range)
+    js = degree_range(g, a, j_range)
     workers = _worker_count(jobs, len(js))
     terms = max(sum(1 for c in vec if c) for products in a.mult for vec in products)
     states = 0

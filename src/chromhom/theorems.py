@@ -13,16 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, make_deformed, make_truncated
-from .chromatic import Poly, Poly2, euler_check
+from .chromatic import Poly, euler_check
 from .complexes import Cube, IntMatrix, StateBasis, differential, enumerate_basis
 from .graph import (
     Graph,
+    complete,
     components,
     contract_edge,
     cycle,
     delete_edge,
+    polygon_with_diagonals,
     shortest_cycle_parity,
     simplify,
+    wedge,
 )
 from .homology import (
     AbelianGroup,
@@ -30,7 +33,7 @@ from .homology import (
     TRIVIAL_GROUP,
     cokernel_oracle,
     compute_all,
-    default_j_range,
+    degree_range,
     group_from_cyclic,
     poincare_series,
 )
@@ -75,18 +78,6 @@ def _non_tree_counts(g: Graph) -> tuple[int, int]:
             v1 += vs[k]
             mu1 += 1
     return v1, mu1
-
-
-def _is_simple(g: Graph) -> bool:
-    seen = set()
-    for u, w in g.edges:
-        if u == w:
-            return False
-        key = (min(u, w), max(u, w))
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
 
 
 def _is_truncated_type(a: Algebra) -> bool:
@@ -192,6 +183,15 @@ def _endpoints(g: Graph, e: int) -> tuple[int, int]:
     return g.edges[e]
 
 
+def _group_diff(actual: dict, expected: dict) -> dict:
+    """Each key where two tables of nonzero groups differ -> (actual, expected)."""
+    return {
+        k: (str(actual.get(k, TRIVIAL_GROUP)), str(expected.get(k, TRIVIAL_GROUP)))
+        for k in set(actual) | set(expected)
+        if actual.get(k) != expected.get(k)
+    }
+
+
 def check_pendant(g: Graph, e: int, a: Algebra) -> CheckReport:
     """H^*(G) == H^*(G/e) tensor A' when e is a pendant edge."""
     u, w = _endpoints(g, e)
@@ -200,15 +200,8 @@ def check_pendant(g: Graph, e: int, a: Algebra) -> CheckReport:
     params = {"graph": g.to_json_dict(), "edge": e, "algebra": a.spec}
     hg = compute_all(g, a)
     hc = compute_all(contract_edge(g, e), a)
-    expected = tensor_with_complement(hc, a)
-    if expected == hg.groups:
-        return CheckReport("pendant", params, True)
-    diff = {
-        k: (str(hg.groups.get(k, TRIVIAL_GROUP)), str(expected.get(k, TRIVIAL_GROUP)))
-        for k in set(hg.groups) | set(expected)
-        if hg.groups.get(k) != expected.get(k)
-    }
-    return CheckReport("pendant", params, False, witness=diff)
+    diff = _group_diff(hg.groups, tensor_with_complement(hc, a))
+    return CheckReport("pendant", params, not diff, witness=diff or None)
 
 
 def _run_inclusion(runs, cols: int, dst: StateBasis, bit: int) -> IntMatrix | None:
@@ -260,7 +253,7 @@ def check_del_contract_exactness(g: Graph, e: int, a: Algebra) -> CheckReport:
             witness={"i": i, "j": j, "violated": what},
         )
 
-    for j in default_j_range(reordered, a):
+    for j in degree_range(reordered, a):
         basis_g = [enumerate_basis(cube_g, i, j) for i in range(n + 2)]
         basis_d = [enumerate_basis(cube_d, i, j) for i in range(n + 1)]
         # basis_c[i] is C^{i-1,j}(G/e), the source of alpha_i
@@ -331,7 +324,7 @@ def check_torsion_dichotomy(g: Graph, h: BigradedHomology | None = None) -> Chec
                 witness={"missing": f"Z_2 in H^(1,{v - 1})",
                          "group": str(h.group(1, v - 1))},
             )
-    if expected and info.has_even_cycle and _is_simple(g):
+    if expected and info.has_even_cycle and simplify(g) == g:
         if not h.group(2, v - 2).has_torsion_of_order_divisible_by(2):
             return CheckReport(
                 "torsion-dichotomy", params, False,
@@ -368,16 +361,9 @@ def check_polygon_formula(n: int) -> CheckReport:
     if n < 1:
         raise ValueError("polygons need n >= 1")
     h = compute_all(cycle(n), make_truncated(2))
-    expected = polygon_a2_closed_form(n)
+    diff = _group_diff(h.groups, polygon_a2_closed_form(n))
     params = {"n": n, "algebra": "trunc:2"}
-    if h.groups == expected:
-        return CheckReport("polygon-closed-form", params, True)
-    diff = {
-        k: (str(h.groups.get(k, TRIVIAL_GROUP)), str(expected.get(k, TRIVIAL_GROUP)))
-        for k in set(h.groups) | set(expected)
-        if h.groups.get(k) != expected.get(k)
-    }
-    return CheckReport("polygon-closed-form", params, False, witness=diff)
+    return CheckReport("polygon-closed-form", params, not diff, witness=diff or None)
 
 
 def _range_poly(m: int) -> Poly:
@@ -394,15 +380,12 @@ def check_p3_Am(m: int) -> CheckReport:
     if torsion_cells != {(1, m): (m,)}:
         return CheckReport("p3-truncated", params, False, witness=torsion_cells)
     s = _range_poly(m)
-    cube = s**3
-    expected = Poly2(
-        {(0, j): c for j, c in cube.c.items()} | {(1, j): c for j, c in s.c.items()}
-    )
+    expected = {(0, j): c for j, c in (s**3).c.items()} | {(1, j): c for j, c in s.c.items()}
     actual = poincare_series(h)
     if actual != expected:
         return CheckReport(
             "p3-truncated", params, False,
-            witness={"poincare": repr(actual), "expected": repr(expected)},
+            witness={"poincare": actual, "expected": expected},
         )
     return CheckReport("p3-truncated", params, True)
 
@@ -508,8 +491,6 @@ def check_conjecture_fixtures() -> CheckReport:
     height1 = {j: grp for (i, j), grp in h4.groups.items() if i == 1}
     if height1 != {4: AbelianGroup(1), 5: AbelianGroup(1)}:
         failures["H^1 P_4 A_3"] = {j: str(grp) for j, grp in height1.items()}
-    from .graph import complete
-
     hk = compute_all(complete(4), make_truncated(3))
     if hk.group(1, 5) != AbelianGroup(2, (3, 3, 6)):
         failures["H^(1,5) K_4 A_3"] = str(hk.group(1, 5))
@@ -535,14 +516,9 @@ def check_vgon_diagonals(g: Graph, a: Algebra) -> CheckReport:
     hp3 = compute_all(cycle(3), a)
     top = {j: grp for (i, j), grp in h.groups.items() if i == v - 2}
     tri = {j: grp for (i, j), grp in hp3.groups.items() if i == 1}
-    if top != tri:
-        return CheckReport(
-            "vgon-diagonals", params, False,
-            witness={
-                "top": {j: str(x) for j, x in sorted(top.items())},
-                "triangle_h1": {j: str(x) for j, x in sorted(tri.items())},
-            },
-        )
+    diff = _group_diff(top, tri)  # j -> (top group, triangle H^1)
+    if diff:
+        return CheckReport("vgon-diagonals", params, False, witness=diff)
     if _is_truncated_type(a):
         m = a.rank
         if h.group(v - 2, m) != AbelianGroup(0, (m,)):
@@ -570,11 +546,6 @@ def _has_four_cycle(g: Graph) -> bool:
     return False
 
 
-def _has_triangle(g: Graph) -> bool:
-    info = shortest_cycle_parity(g)
-    return info.girth == 3
-
-
 def soft_triangle_square_torsion(graphs: list[Graph], m: int) -> CheckReport:
     """Conjecture: a triangle forces Z_m in H^{1,*}, a square in H^{2,*}."""
     a = make_truncated(m)
@@ -583,7 +554,7 @@ def soft_triangle_square_torsion(graphs: list[Graph], m: int) -> CheckReport:
         if g.has_loop():
             continue
         h = compute_all(g, a)
-        if _has_triangle(g):
+        if shortest_cycle_parity(g).girth == 3:
             found = any(
                 grp.has_torsion_of_order_divisible_by(m)
                 for (i, _j), grp in h.groups.items()
@@ -712,8 +683,6 @@ def _wrap(fn, *args, **kwargs) -> CheckReport:
 
 def run_suite(seed: int = 0) -> list[CheckReport]:
     """Every desk-scale check over the standard fixture set, deterministically."""
-    from .graph import complete, polygon_with_diagonals, wedge
-
     rng = random.Random(seed)
     reports: list[CheckReport] = []
     a2 = make_truncated(2)

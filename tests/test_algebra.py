@@ -32,12 +32,12 @@ def test_unit_law():
 
 
 def test_qdim():
-    assert qdim(make_truncated(2)).coefficients == {0: 1, 1: 1}
-    assert qdim(make_truncated(4)).coefficients == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert qdim(make_truncated(1)).coefficients == {0: 1}
+    assert qdim(make_truncated(2)) == {0: 1, 1: 1}
+    assert qdim(make_truncated(4)) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert qdim(make_truncated(1)) == {0: 1}
     for m in (1, 3, 6):
         a = make_truncated(m)
-        coeffs = qdim(a).coefficients
+        coeffs = qdim(a)
         assert sum(coeffs.values()) == a.rank and coeffs[0] >= 1
     with pytest.raises(ValueError):
         qdim(make_deformed([-1, -1, 1]))

@@ -29,10 +29,6 @@ def test_poly_repr():
     assert repr(Poly()) == "0"
     assert repr(Poly.from_list([0, 1])) == "q"
     assert repr(Poly.from_list([2, 0, -1])) == "2 - q^2"
-    from chromhom.chromatic import Poly2
-
-    assert repr(Poly2()) == "0"
-    assert repr(Poly2({(1, 2): 3})) == "3*t^1*q^2"
 
 
 def test_chromatic_known_values():

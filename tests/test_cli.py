@@ -98,6 +98,40 @@ def test_bases_partitions_each_subset_at_most_once(capsys, monkeypatch):
     assert len(calls) <= 2 ** 6
 
 
+def test_bases_dump_enumerates_each_basis_once(capsys, monkeypatch):
+    # each slice's target basis is the next slice's source
+    import chromhom.cli as cli
+    import chromhom.complexes as complexes
+
+    seen = []
+    original = complexes.enumerate_basis
+
+    def counted(cube, i, j):
+        seen.append((i, j))
+        return original(cube, i, j)
+
+    monkeypatch.setattr(complexes, "enumerate_basis", counted)
+    monkeypatch.setattr(cli, "enumerate_basis", counted, raising=False)
+    code, out, _ = run_cli(
+        capsys, "bases", "--graph", "gen:complete:4", "--algebra", "trunc:2"
+    )
+    assert code == 0 and out.count("slice i=") > 1
+    assert len(seen) == len(set(seen))
+
+
+def test_bases_refuses_the_degrees_compute_refuses(capsys):
+    for algebra, j, says in (
+        ("window:1", "3", "window"),  # Z[x] has states there; the window has fewer
+        ("poly:-1,0,0,1", "1", "ungraded"),
+        ("trunc:2", "-1", "nonnegative"),
+    ):
+        argv = ["--graph", "gen:cycle:3", "--algebra", algebra]
+        code, out, err = run_cli(capsys, "bases", *argv, "--i", "0", "--j", j)
+        assert code == 2 and not out and says in err, (algebra, j)
+        code, out, err = run_cli(capsys, "compute", *argv, f"--jrange={j}:{j}")
+        assert code == 2 and not out and says in err, (algebra, j)
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--check", "polygon", "--n", "5",
@@ -242,6 +276,31 @@ def test_memory_cap_prices_every_pool_process(capsys, monkeypatch):
             "--memory-cap", str((one + pool) // 2)]
     assert run_cli(capsys, *args, "--jobs", "2")[0] == 3
     assert run_cli(capsys, *args, "--jobs", "1")[0] == 0
+
+
+def test_memory_estimate_refuses_what_compute_all_refuses(capsys, monkeypatch):
+    import chromhom.cli as cli
+    from chromhom.algebra import make_deformed, make_poly_window
+    from chromhom.homology import WindowError, estimate_peak_bytes, peak_bytes_floor
+
+    g = cycle(3)
+    for estimate in (estimate_peak_bytes, peak_bytes_floor):
+        with pytest.raises(WindowError):
+            estimate(g, make_poly_window(2), range(5, 10))
+        with pytest.raises(ValueError, match="ungraded"):
+            estimate(g, make_deformed([-1, 0, 0, 1]), [1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate(g, make_truncated(2), [-1])
+
+    def priced(*args):
+        raise AssertionError("priced a degree range compute_all refuses")
+
+    monkeypatch.setattr(cli, "estimate_peak_bytes", priced)
+    code, _, err = run_cli(
+        capsys, "compute", "--graph", "gen:cycle:3", "--algebra", "window:2",
+        "--jrange", "5:9",
+    )
+    assert code == 2 and "window" in err
 
 
 def test_memory_estimate_holds_no_per_subset_data():

@@ -24,7 +24,7 @@ from chromhom.graph import (
     polygon_with_diagonals,
     subset_census,
 )
-from chromhom.homology import default_j_range
+from chromhom.homology import degree_range
 
 P3 = cycle(3)
 A2 = make_truncated(2)
@@ -197,7 +197,8 @@ def test_edge_cap():
 
 
 def test_dump_slice_format():
-    text = dump_slice(Cube(P3, A2), 0, 2)
+    cube = Cube(P3, A2)
+    text = dump_slice(enumerate_basis(cube, 0, 2), enumerate_basis(cube, 1, 2))
     assert "state#0: subset=0b000, colors=[0, 1, 1]" in text
     assert "(0, 0, 1)" in text
 
@@ -230,7 +231,7 @@ def test_block_assembly_matches_per_state_rule():
         for spec in SPECS:
             a = parse_algebra_spec(spec)
             cube = Cube(g, a)
-            for j in default_j_range(g, a):
+            for j in degree_range(g, a):
                 bases = [enumerate_basis(cube, i, j) for i in range(g.edge_count + 2)]
                 for i, basis in enumerate(bases[:-1]):
                     assert len(basis) == slice_dimension(cube, i, j)
@@ -262,9 +263,11 @@ def test_bases_dump_is_unchanged():
     for g in dump_fixtures():
         for spec in SPECS:
             a = parse_algebra_spec(spec)
-            for j in default_j_range(g, a):
+            cube = Cube(g, a)
+            for j in degree_range(g, a):
                 for i in range(g.edge_count + 1):
-                    digest.update(dump_slice(Cube(g, a), i, j).encode() + b"\n")
+                    src, dst = enumerate_basis(cube, i, j), enumerate_basis(cube, i + 1, j)
+                    digest.update(dump_slice(src, dst).encode() + b"\n")
     assert digest.hexdigest() == (
         "9cd8fb868db5c952d8bc3287556fb0f32ced3842d1d7b1aa068e3b2869599611"
     )
