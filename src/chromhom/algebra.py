@@ -102,17 +102,13 @@ def _monomial_labels(m: int) -> tuple[str, ...]:
 
 
 def make_truncated(m: int) -> Algebra:
-    """Z[x]/(x^m): basis 1, x, ..., x^{m-1} with deg x^k = k."""
+    """Z[x]/(x^m): basis 1, x, ..., x^{m-1} with deg x^k = k.
+
+    It is ``make_deformed`` at p = x^m, under the spec ``trunc:m``.
+    """
     if m < 1:
         raise ValueError("truncation order must be >= 1")
-    mult = tuple(
-        tuple(
-            tuple(1 if (k + l < m and n == k + l) else 0 for n in range(m))
-            for l in range(m)
-        )
-        for k in range(m)
-    )
-    return Algebra(m, _monomial_labels(m), tuple(range(m)), mult, True, f"trunc:{m}")
+    return replace(make_deformed([0] * m + [1]), spec=f"trunc:{m}")
 
 
 def make_deformed(p: list[int]) -> Algebra:

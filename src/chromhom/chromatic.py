@@ -35,9 +35,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.c == other.c
 
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
     def __bool__(self) -> bool:
         return bool(self.c)
 
@@ -124,7 +121,7 @@ def qdim_poly(a: Algebra) -> Poly:
 def chromatic_polynomial(g: Graph) -> Poly:
     """Whitney's expansion, the census folded at x = -1: the coefficient of
     x^c is sum_i (-1)^i counts[i][c].  A loop cancels every term; parallel
-    edges leave the sum unchanged.  Past ``MAX_EDGES`` edges it raises."""
+    edges leave the sum unchanged."""
     out: dict[int, int] = {}
     for i, row in enumerate(subset_census(g)):
         for c, n in enumerate(row):

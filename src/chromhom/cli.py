@@ -17,16 +17,8 @@ import sys
 from . import theorems
 from .algebra import parse_algebra_spec
 from .chromatic import chromatic_polynomial, euler_check
-from .complexes import Cube, dump_slice, enumerate_basis, slice_dimension
-from .graph import (
-    MAX_EDGES,
-    Graph,
-    complete,
-    cycle,
-    load_graph,
-    path,
-    polygon_with_diagonals,
-)
+from .complexes import Cube, dump_slice, enumerate_basis
+from .graph import Graph, complete, cycle, load_graph, path, polygon_with_diagonals
 from .homology import (
     BigradedHomology,
     compute_all,
@@ -44,15 +36,6 @@ class MemoryCapExceeded(RuntimeError):
 
 def parse_graph_spec(spec: str) -> Graph:
     """``gen:<name>:<params>`` or ``file:<path>``."""
-    g = _parse_graph_spec(spec)
-    if g.edge_count > MAX_EDGES:
-        raise ValueError(
-            f"graph has {g.edge_count} edges; the engine is capped at {MAX_EDGES}"
-        )
-    return g
-
-
-def _parse_graph_spec(spec: str) -> Graph:
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"bad graph spec {spec!r}; use gen:... or file:...")
@@ -171,7 +154,7 @@ def cmd_bases(args) -> int:
     g = parse_graph_spec(args.graph)
     a = parse_algebra_spec(args.algebra)
     js = degree_range(g, a, None if args.j is None else [args.j])
-    _check_memory(g, a, None, args.memory_cap)
+    _check_memory(g, a, js, args.memory_cap)
     cube = Cube(g, a)
     if args.i is None:
         _print_slices(cube, js)
@@ -184,39 +167,32 @@ def cmd_bases(args) -> int:
 def _print_slices(cube: Cube, js) -> None:
     """Dump the nonempty slices of each degree, enumerating each basis once."""
     for j in js:
-        dst = None
+        src = enumerate_basis(cube, 0, j)
         for i in range(cube.g.edge_count + 1):
-            if slice_dimension(cube, i, j):
-                src = dst if dst is not None and dst.i == i else enumerate_basis(cube, i, j)
-                dst = enumerate_basis(cube, i + 1, j)
+            dst = enumerate_basis(cube, i + 1, j)
+            if len(src):
                 print(dump_slice(src, dst))
+            src = dst
 
 
-# the options a single check reads that have no default
-_NEEDS = {
-    "vanishing": ("graph", "algebra"),
-    "thickness": ("graph", "algebra"),
-    "pendant": ("graph", "algebra"),
-    "exactness": ("graph", "algebra"),
-    "dichotomy": ("graph",),
-    "vgon": ("graph", "algebra"),
-}
+_GA = ("graph", "algebra")
 
+# name -> (the options the check reads that have no default, run)
 _SINGLE_CHECKS = {
-    "vanishing": lambda args, g, a: theorems.check_vanishing(g, a),
-    "thickness": lambda args, g, a: theorems.check_thickness(g, a),
-    "pendant": lambda args, g, a: theorems.check_pendant(g, args.edge, a),
-    "exactness": lambda args, g, a: theorems.check_del_contract_exactness(
-        g, args.edge, a
+    "vanishing": (_GA, lambda args, g, a: theorems.check_vanishing(g, a)),
+    "thickness": (_GA, lambda args, g, a: theorems.check_thickness(g, a)),
+    "pendant": (_GA, lambda args, g, a: theorems.check_pendant(g, args.edge, a)),
+    "exactness": (
+        _GA, lambda args, g, a: theorems.check_del_contract_exactness(g, args.edge, a)
     ),
-    "dichotomy": lambda args, g, a: theorems.check_torsion_dichotomy(g),
-    "polygon": lambda args, g, a: theorems.check_polygon_formula(args.n),
-    "p3-am": lambda args, g, a: theorems.check_p3_Am(args.m),
-    "deformed-p3": lambda args, g, a: theorems.check_deformed_p3(
+    "dichotomy": (("graph",), lambda args, g, a: theorems.check_torsion_dichotomy(g)),
+    "polygon": ((), lambda args, g, a: theorems.check_polygon_formula(args.n)),
+    "p3-am": ((), lambda args, g, a: theorems.check_p3_Am(args.m)),
+    "deformed-p3": ((), lambda args, g, a: theorems.check_deformed_p3(
         [int(c) for c in args.p.split(",")]
-    ),
-    "vgon": lambda args, g, a: theorems.check_vgon_diagonals(g, a),
-    "fixtures": lambda args, g, a: theorems.check_conjecture_fixtures(),
+    )),
+    "vgon": (_GA, lambda args, g, a: theorems.check_vgon_diagonals(g, a)),
+    "fixtures": ((), lambda args, g, a: theorems.check_conjecture_fixtures()),
 }
 
 
@@ -230,12 +206,13 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 f"unknown check {args.check!r}; known: {sorted(_SINGLE_CHECKS)}"
             )
-        for option in _NEEDS.get(args.check, ()):
+        needs, run = _SINGLE_CHECKS[args.check]
+        for option in needs:
             if getattr(args, option) is None:
                 raise ValueError(f"--check {args.check} needs --{option}")
         g = parse_graph_spec(args.graph) if args.graph else None
         a = parse_algebra_spec(args.algebra) if args.algebra else None
-        reports = [_SINGLE_CHECKS[args.check](args, g, a)]
+        reports = [run(args, g, a)]
     else:
         raise ValueError("verify needs --suite or --check")
     hard_failures = 0

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import Algebra
-from .graph import MAX_EDGES, ComponentPartition, Graph, components, subset_census
+from .graph import ComponentPartition, Graph, components, subset_census
 
 
 class EnhancedState(NamedTuple):
@@ -125,8 +125,6 @@ class Cube:
     """
 
     def __init__(self, g: Graph, a: Algebra):
-        if g.edge_count > MAX_EDGES:
-            raise ValueError(f"graphs are capped at {MAX_EDGES} edges")
         self.g = g
         self.a = a
         self._parts: dict[int, ComponentPartition] = {}

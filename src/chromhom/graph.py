@@ -4,7 +4,8 @@ The edge order is part of the data: it fixes the signs of the cube
 differential, so every editing operation documents how it shifts edge
 indices.  Loops and parallel edges are legal everywhere except that a loop
 cannot be contracted.  Graphs are immutable values; all operations return
-new graphs.
+new graphs.  ``Graph`` refuses more than ``MAX_EDGES`` edges, so no other
+layer checks the cap.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class Graph:
         for u, w in edges:
             if not (0 <= u < self.vertex_count and 0 <= w < self.vertex_count):
                 raise ValueError(f"edge ({u}, {w}) endpoint out of range")
+        if len(edges) > MAX_EDGES:
+            raise ValueError(
+                f"graph has {len(edges)} edges; the engine is capped at {MAX_EDGES}"
+            )
 
     @property
     def edge_count(self) -> int:
@@ -123,10 +128,8 @@ def subset_census(g: Graph) -> list[list[int]]:
     one step.  Subsets are kept by rank v - c(s), which ignores isolated
     vertices, so the memo (one per call) is keyed on the canonical edge list.
     Contracting each edge into its larger endpoint eliminates the vertices in
-    order, which keeps sparse graphs cheap.  Past ``MAX_EDGES`` edges it raises.
+    order, which keeps sparse graphs cheap.
     """
-    if g.edge_count > MAX_EDGES:
-        raise ValueError(f"graphs are capped at {MAX_EDGES} edges")
     memo: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
 
     def ranks(edges: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:

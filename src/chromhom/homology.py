@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import _snfpure
 from .algebra import Algebra
 from .complexes import Cube, IntMatrix, differential, enumerate_basis, slice_dimension
-from .graph import MAX_EDGES, Graph
+from .graph import Graph
 
 try:  # compiled kernel is optional
     from . import _snfcore
@@ -281,8 +281,6 @@ def compute_all(
     ``jobs`` > 1 they run on a process pool; results merge only at
     aggregation.
     """
-    if g.edge_count > MAX_EDGES:
-        raise ValueError(f"graphs are capped at {MAX_EDGES} edges")
     js = degree_range(g, a, j_range)
     workers = _worker_count(jobs, len(js))
     if workers > 1:
@@ -339,8 +337,8 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
     A differential's nonzeros are bounded by dim C^{i,j} times the n - i
     absent edges times the most terms any product of two basis elements
     has.  Dimensions come from one subset census: the estimate holds no
-    per-subset data.  Past ``MAX_EDGES`` edges ``Cube`` raises ValueError,
-    and ``degree_range`` refuses the degrees ``compute_all`` refuses.
+    per-subset data.  ``degree_range`` refuses the degrees ``compute_all``
+    refuses.
 
     When ``compute_all(..., jobs=jobs)`` would run a pool, every worker is
     priced as a whole computation.

@@ -59,10 +59,6 @@ class CheckReport:
         }
 
 
-def _mu(g: Graph) -> int:
-    return components(g, (1 << g.edge_count) - 1).component_count
-
-
 def _non_tree_counts(g: Graph) -> tuple[int, int]:
     """(vertices, components) of the non-tree part of the graph."""
     part = components(g, (1 << g.edge_count) - 1)
@@ -120,7 +116,7 @@ def check_thickness(g: Graph, a: Algebra, h: BigradedHomology | None = None) -> 
     h = h if h is not None else compute_all(g, a)
     m = a.rank
     v = g.vertex_count
-    mu = _mu(g)
+    mu = components(g, (1 << g.edge_count) - 1).component_count
     params = {"graph": g.to_json_dict(), "algebra": a.spec}
     for (i, j), grp in h.items_sorted():
         bad = None
@@ -194,8 +190,8 @@ def _group_diff(actual: dict, expected: dict) -> dict:
 
 def check_pendant(g: Graph, e: int, a: Algebra) -> CheckReport:
     """H^*(G) == H^*(G/e) tensor A' when e is a pendant edge."""
-    u, w = _endpoints(g, e)
-    if u == w or (g.degree(u) != 1 and g.degree(w) != 1):
+    _endpoints(g, e)
+    if e not in find_pendant_edges(g):
         raise ValueError(f"edge {e} is not pendant")
     params = {"graph": g.to_json_dict(), "edge": e, "algebra": a.spec}
     hg = compute_all(g, a)

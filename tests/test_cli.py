@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,42 @@ def test_bases_dump_enumerates_each_basis_once(capsys, monkeypatch):
     )
     assert code == 0 and out.count("slice i=") > 1
     assert len(seen) == len(set(seen))
+
+
+def test_bases_prices_the_degree_it_dumps(capsys):
+    # complete(5)/trunc:2 is priced at 1 106 404 B for j = 0 alone and at
+    # 1 539 118 B for every degree
+    argv = ["bases", "--graph", "gen:complete:5", "--algebra", "trunc:2",
+            "--memory-cap", "1200000"]
+    code, out, err = run_cli(capsys, *argv, "--i", "0", "--j", "0")
+    assert code == 0 and out.startswith("slice i=0 j=0 dim=1\n") and not err
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and not out and "1539118" in err
+
+
+def test_graphs_past_the_edge_cap_are_refused(capsys, tmp_path):
+    from chromhom.graph import parse_graph_json, parse_graph_text, wedge
+
+    edges = [[k, (k + 1) % 64] for k in range(64)]
+    text = "vertices 64\n" + "".join(f"{u} {w}\n" for u, w in edges)
+    for build in (
+        lambda: cycle(64),
+        lambda: wedge(cycle(32), cycle(32)),
+        lambda: parse_graph_text(text),
+        lambda: parse_graph_json({"vertices": 64, "edges": edges}),
+    ):
+        with pytest.raises(ValueError, match="64 edges; the engine is capped at 63"):
+            build()
+    p = tmp_path / "c64.txt"
+    p.write_text(text)
+    for argv in (
+        ["compute", "--algebra", "trunc:2"],
+        ["bases", "--algebra", "trunc:2"],
+        ["chromatic"],
+        ["verify", "--check", "vanishing", "--algebra", "trunc:2"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--graph", f"file:{p}")
+        assert code == 2 and not out and "capped at 63" in err, argv
 
 
 def test_bases_refuses_the_degrees_compute_refuses(capsys):
@@ -406,6 +443,9 @@ def test_verify_paper_suite_exit_zero(capsys):
     assert "0 hard failures" in err
     records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
     assert all(r["passed"] or r["soft"] for r in records)
+    # the whole report stream, byte for byte: any change to a report shows
+    digest = "9a0699a804c485c412293c528b8f5ee08bf2cdf9fbc7514962f43457a76f6a59"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_module_entry_point():
@@ -425,7 +465,9 @@ def test_hard_failure_exit_1(capsys, monkeypatch):
 
     monkeypatch.setitem(
         _SINGLE_CHECKS, "dichotomy",
-        lambda args, g, a: CheckReport("torsion-dichotomy", {}, False, witness="forced"),
+        (("graph",), lambda args, g, a: CheckReport(
+            "torsion-dichotomy", {}, False, witness="forced"
+        )),
     )
     code, out, err = run_cli(
         capsys, "verify", "--check", "dichotomy", "--graph", "gen:cycle:3",
