@@ -10,13 +10,12 @@ graded dimension of a graded algebra as a ``{degree: rank}`` dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Algebra:
     rank: int
-    basis_labels: tuple[str, ...]
     degrees: tuple[int, ...]
     # mult[k][l] is the coefficient vector of b_k * b_l over the basis.
     mult: tuple[tuple[tuple[int, ...], ...], ...]
@@ -28,7 +27,7 @@ class Algebra:
         r = self.rank
         if r < 1:
             raise ValueError("rank must be positive")
-        if len(self.basis_labels) != r or len(self.degrees) != r or len(self.mult) != r:
+        if len(self.degrees) != r or len(self.mult) != r:
             raise ValueError("inconsistent table sizes")
         if self.degrees[0] != 0:
             raise ValueError("unit must have degree 0")
@@ -97,18 +96,36 @@ def qdim(a: Algebra) -> dict[int, int]:
     return coeff
 
 
-def _monomial_labels(m: int) -> tuple[str, ...]:
-    return tuple("1" if k == 0 else ("x" if k == 1 else f"x^{k}") for k in range(m))
+def _quotient(coeffs: list[int], spec: str, window: int | None = None) -> Algebra:
+    """Z[x]/(p), p given by its coefficients low to high, monic of degree >= 1."""
+    m = len(coeffs) - 1
+    # x^t mod p for t = 0 .. 2(m-1)
+    reduced: list[list[int]] = []
+    cur = [0] * m
+    cur[0] = 1
+    for _ in range(2 * m - 1):
+        reduced.append(list(cur))
+        top = cur[m - 1]
+        cur = [0] + cur[:-1]
+        if top:
+            for n in range(m):
+                cur[n] -= top * coeffs[n]
+    mult = tuple(
+        tuple(tuple(reduced[k + l]) for l in range(m)) for k in range(m)
+    )
+    graded = all(c == 0 for c in coeffs[:-1])
+    degrees = tuple(range(m)) if graded else tuple([0] * m)
+    return Algebra(m, degrees, mult, graded, spec, window)
 
 
 def make_truncated(m: int) -> Algebra:
     """Z[x]/(x^m): basis 1, x, ..., x^{m-1} with deg x^k = k.
 
-    It is ``make_deformed`` at p = x^m, under the spec ``trunc:m``.
+    The quotient ``make_deformed`` builds at p = x^m, under the spec ``trunc:m``.
     """
     if m < 1:
         raise ValueError("truncation order must be >= 1")
-    return replace(make_deformed([0] * m + [1]), spec=f"trunc:{m}")
+    return _quotient([0] * m + [1], f"trunc:{m}")
 
 
 def make_deformed(p: list[int]) -> Algebra:
@@ -128,25 +145,7 @@ def make_deformed(p: list[int]) -> Algebra:
         raise ValueError(
             "p must be monic: a non-monic quotient Z[x]/(p) need not be free"
         )
-    m = len(coeffs) - 1
-    # x^t mod p for t = 0 .. 2(m-1)
-    reduced: list[list[int]] = []
-    cur = [0] * m
-    cur[0] = 1
-    for _ in range(2 * m - 1):
-        reduced.append(list(cur))
-        top = cur[m - 1]
-        cur = [0] + cur[:-1]
-        if top:
-            for n in range(m):
-                cur[n] -= top * coeffs[n]
-    mult = tuple(
-        tuple(tuple(reduced[k + l]) for l in range(m)) for k in range(m)
-    )
-    graded = all(c == 0 for c in coeffs[:-1])
-    spec = "poly:" + ",".join(str(c) for c in coeffs)
-    degrees = tuple(range(m)) if graded else tuple([0] * m)
-    return Algebra(m, _monomial_labels(m), degrees, mult, graded, spec)
+    return _quotient(coeffs, "poly:" + ",".join(str(c) for c in coeffs))
 
 
 def make_poly_window(J: int) -> Algebra:
@@ -158,7 +157,7 @@ def make_poly_window(J: int) -> Algebra:
     """
     if J < 0:
         raise ValueError("window must be >= 0")
-    return replace(make_truncated(J + 1), spec=f"window:{J}", window=J)
+    return _quotient([0] * (J + 1) + [1], f"window:{J}", J)
 
 
 def parse_algebra_spec(spec: str) -> Algebra:

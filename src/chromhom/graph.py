@@ -204,9 +204,10 @@ def simplify(g: Graph) -> Graph:
 class CycleInfo:
     """Cycle structure of a graph after conceptual simplification.
 
-    ``girth`` is the length of the shortest cycle of the simplified loopless
-    graph (None for a forest); the parity flags say whether some odd cycle
-    (length >= 3) and some even cycle (length >= 4) exist.
+    ``has_loop`` reads the graph as given; the rest describe its simplified
+    loop-free graph: ``girth`` is its shortest cycle's length (None for a
+    forest), and the flags say whether it has an odd cycle (length >= 3) and
+    an even cycle (length >= 4).
     """
 
     has_loop: bool
@@ -256,87 +257,52 @@ def _girth_simple(g: Graph) -> int | None:
     return best
 
 
-def _is_bipartite(g: Graph) -> bool:
+def _cycle_parities(g: Graph) -> tuple[bool, bool]:
+    """(some odd cycle, some even cycle) of a simple loop-free graph.
+
+    Each edge outside a spanning forest closes one fundamental cycle, and
+    parity is additive over the cycle space they span.  An odd cycle exists
+    iff some fundamental cycle is odd.  Two fundamental cycles that share a
+    forest edge span a theta graph, and two of its three paths close an even
+    cycle, of length >= 4 since the graph is simple.  When no forest edge is
+    shared, every cycle is a single fundamental cycle.
+    """
     adj = _adjacency(g)
-    color = [-1] * g.vertex_count
+    depth = [-1] * g.vertex_count
+    parent = [-1] * g.vertex_count
     for s in range(g.vertex_count):
-        if color[s] >= 0:
+        if depth[s] >= 0:
             continue
-        color[s] = 0
+        depth[s] = 0
         stack = [s]
         while stack:
             v = stack.pop()
             for w, _ in adj[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
+                if depth[w] < 0:
+                    depth[w], parent[w] = depth[v] + 1, v
                     stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
-def _biconnected_blocks(g: Graph) -> list[list[int]]:
-    """Edge lists of the biconnected blocks of a simple graph (Tarjan)."""
-    adj = _adjacency(g)
-    disc = [-1] * g.vertex_count
-    low = [0] * g.vertex_count
-    blocks: list[list[int]] = []
-    stack: list[int] = []  # edge indices
-    timer = 0
-
-    def dfs(v: int, pe: int):
-        nonlocal timer
-        disc[v] = low[v] = timer
-        timer += 1
-        for w, k in adj[v]:
-            if k == pe:
-                continue
-            if disc[w] < 0:
-                stack.append(k)
-                dfs(w, k)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:
-                    block = []
-                    while True:
-                        x = stack.pop()
-                        block.append(x)
-                        if x == k:
-                            break
-                    blocks.append(block)
-            elif disc[w] < disc[v]:
-                stack.append(k)
-                low[v] = min(low[v], disc[w])
-
-    for s in range(g.vertex_count):
-        if disc[s] < 0:
-            dfs(s, -1)
-    return blocks
+    used = set()  # u for each forest edge (u, parent[u]) on a cycle so far
+    has_odd = has_even = False
+    for u, w in g.edges:
+        if parent[u] == w or parent[w] == u:
+            continue  # a forest edge: the graph is simple
+        length = 1
+        while u != w:  # climb the deeper endpoint to the common ancestor
+            if depth[u] < depth[w]:
+                u, w = w, u
+            has_even |= u in used
+            used.add(u)
+            u = parent[u]
+            length += 1
+        has_odd |= length % 2 == 1
+        has_even |= length % 2 == 0
+    return has_odd, has_even
 
 
 def shortest_cycle_parity(g: Graph) -> CycleInfo:
-    """Loop presence, girth, and odd/even cycle existence (after simplification)."""
-    has_loop = g.has_loop()
+    """Loop presence; girth and cycle parities of the simplified loop-free graph."""
     simple = simplify(Graph(g.vertex_count, tuple(e for e in g.edges if e[0] != e[1])))
-    girth = _girth_simple(simple)
-    if girth is None:
-        return CycleInfo(has_loop, None, False, False)
-    has_odd = not _is_bipartite(simple)
-    has_even = False
-    for block in _biconnected_blocks(simple):
-        if len(block) < 3:
-            continue
-        verts = set()
-        for k in block:
-            verts.update(simple.edges[k])
-        if len(block) > len(verts):
-            # A 2-connected non-cycle block contains a theta graph, hence an
-            # even cycle (two of the three arcs share parity).
-            has_even = True
-            break
-        if len(block) % 2 == 0:
-            has_even = True
-            break
-    return CycleInfo(has_loop, girth, has_odd, has_even)
+    return CycleInfo(g.has_loop(), _girth_simple(simple), *_cycle_parities(simple))
 
 
 # ---------------------------------------------------------------------------

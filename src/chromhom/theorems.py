@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, make_deformed, make_truncated
+from .algebra import Algebra, make_deformed, make_truncated, qdim
 from .chromatic import Poly, euler_check
 from .complexes import Cube, IntMatrix, StateBasis, differential, enumerate_basis
 from .graph import (
@@ -145,15 +145,10 @@ def tensor_with_complement(h: BigradedHomology, a: Algebra) -> dict:
     A' is free, so the tensor multiplies free ranks and replicates torsion,
     with a degree shift per A' basis degree in the graded case.
     """
-    if a.graded:
-        ranks: dict[int, int] = {}
-        for d in a.degrees[1:]:
-            ranks[d] = ranks.get(d, 0) + 1
-    else:
-        ranks = {0: a.rank - 1}
+    ranks = Poly(qdim(a) if a.graded else {0: a.rank}) - Poly({0: 1})
     acc: dict[tuple[int, int], list] = {}
     for (i, j), grp in h.groups.items():
-        for d, r in ranks.items():
+        for d, r in ranks.c.items():
             cell = acc.setdefault((i, j + d), [0, []])
             cell[0] += r * grp.free_rank
             cell[1].extend(list(grp.torsion) * r)
@@ -362,20 +357,17 @@ def check_polygon_formula(n: int) -> CheckReport:
     return CheckReport("polygon-closed-form", params, not diff, witness=diff or None)
 
 
-def _range_poly(m: int) -> Poly:
-    return Poly({d: 1 for d in range(1, m)})
-
-
 def check_p3_Am(m: int) -> CheckReport:
     """Triangle over Z[x]/(x^m): lone Z_m at (1, m) and the stated free ranks."""
     if m < 2:
         raise ValueError("needs m >= 2")
-    h = compute_all(cycle(3), make_truncated(m))
+    a = make_truncated(m)
+    h = compute_all(cycle(3), a)
     params = {"m": m}
     torsion_cells = {k: grp.torsion for k, grp in h.groups.items() if grp.torsion}
     if torsion_cells != {(1, m): (m,)}:
         return CheckReport("p3-truncated", params, False, witness=torsion_cells)
-    s = _range_poly(m)
+    s = Poly(qdim(a)) - Poly({0: 1})
     expected = {(0, j): c for j, c in (s**3).c.items()} | {(1, j): c for j, c in s.c.items()}
     actual = poincare_series(h)
     if actual != expected:
@@ -504,8 +496,39 @@ def check_conjecture_fixtures() -> CheckReport:
     )
 
 
+def _require_polygon_with_chords(g: Graph) -> None:
+    """Refuse g unless its first v >= 3 edges are one polygon through every
+    vertex and the later edges are loop-free chords, no two crossing along it.
+    """
+    v = g.vertex_count
+    neigh: list[list[int]] = [[] for _ in range(v)]
+    for x, y in g.edges[:v]:
+        neigh[x].append(y)
+        neigh[y].append(x)
+    pos = {0: 0}
+    if v >= 3 and all(len(n) == 2 for n in neigh):
+        prev, cur = 0, neigh[0][0]
+        while cur not in pos:  # walk the polygon, numbering its vertices in order
+            pos[cur] = len(pos)
+            x, y = neigh[cur]
+            prev, cur = cur, y if x == prev else x
+    if len(pos) < max(v, 3):
+        raise ValueError("vgon needs a polygon through all v >= 3 vertices on its first v edges")
+    chords = [sorted((pos[x], pos[y])) for x, y in g.edges[v:]]
+    for k, (p1, q1) in enumerate(chords):
+        if p1 == q1:
+            raise ValueError("a vgon diagonal is a loop")
+        if any(p1 < p2 < q1 < q2 or p2 < p1 < q2 < q1 for p2, q2 in chords[:k]):
+            raise ValueError("vgon diagonals cross")  # sharing an endpoint is no crossing
+
+
 def check_vgon_diagonals(g: Graph, a: Algebra) -> CheckReport:
-    """Top-height groups of a v-gon with diagonals equal H^{1,*} of the triangle."""
+    """Top-height groups of a v-gon with diagonals equal H^{1,*} of the triangle.
+
+    Stated for a polygon with non-crossing diagonals; any other graph is
+    refused with ``ValueError``.
+    """
+    _require_polygon_with_chords(g)
     v = g.vertex_count
     params = {"graph": g.to_json_dict(), "algebra": a.spec}
     h = compute_all(g, a)

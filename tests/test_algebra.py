@@ -112,31 +112,46 @@ def _freeze(mult):
 def test_validation_rejects_broken_tables():
     from chromhom.algebra import Algebra
 
-    labels = ("1", "x")
     degrees = (0, 1)
     # broken unit: 1 * x = 0
     mult = _tables(2)
     mult[0][1] = [0, 0]
     mult[1][0] = [0, 0]
     with pytest.raises(ValueError, match="unit"):
-        Algebra(2, labels, degrees, _freeze(mult), True, "bad")
+        Algebra(2, degrees, _freeze(mult), True, "bad")
     # broken commutativity
     mult = _tables(2)
     mult[1][0] = [1, 0]
     with pytest.raises(ValueError, match="commutative"):
-        Algebra(2, labels, degrees, _freeze(mult), True, "bad")
+        Algebra(2, degrees, _freeze(mult), True, "bad")
     # broken grading: x * x = 1 has degree 0 != 2
     mult = _tables(2)
     mult[1][1] = [1, 0]
     with pytest.raises(ValueError, match="associative|homogeneous"):
-        Algebra(2, labels, degrees, _freeze(mult), True, "bad")
+        Algebra(2, degrees, _freeze(mult), True, "bad")
     # broken associativity over a rank-3 basis: y*y = 1 with x*y = 0
     mult3 = _tables(3)
     mult3[2][2] = [1, 0, 0]
     with pytest.raises(ValueError, match="associative|homogeneous"):
-        Algebra(
-            3, ("1", "x", "y"), (0, 1, 1), _freeze(mult3), False, "bad"
-        )
+        Algebra(3, (0, 1, 1), _freeze(mult3), False, "bad")
+
+
+def test_each_constructor_validates_once(monkeypatch):
+    from chromhom.algebra import Algebra
+
+    calls = []
+    validate = Algebra.__post_init__
+    monkeypatch.setattr(
+        Algebra, "__post_init__", lambda self: calls.append(self.spec) or validate(self)
+    )
+    for build, arg, spec in (
+        (make_truncated, 3, "trunc:3"),
+        (make_poly_window, 2, "window:2"),
+        (make_deformed, [-1, 0, 0, 1], "poly:-1,0,0,1"),
+    ):
+        calls.clear()
+        build(arg)
+        assert calls == [spec]
 
 
 def test_parse_spec():

@@ -184,6 +184,11 @@ def test_verify_vgon_and_exactness_checks(capsys):
         "--graph", "gen:vgon:4:0-2", "--algebra", "trunc:2",
     )
     assert code == 0 and json.loads(out.splitlines()[0])["passed"]
+    for graph in ("gen:path:4", "gen:complete:4", "gen:cycle:1", "gen:vgon:5:0-2,1-3"):
+        code, out, err = run_cli(
+            capsys, "verify", "--check", "vgon", "--graph", graph, "--algebra", "trunc:2",
+        )
+        assert code == 2 and not out and "error" in err, graph
     code, out, _ = run_cli(
         capsys, "verify", "--check", "exactness",
         "--graph", "gen:cycle:4", "--algebra", "trunc:3", "--edge", "1",

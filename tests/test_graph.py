@@ -125,6 +125,31 @@ def test_shortest_cycle_parity():
     assert (info.girth, info.has_odd_cycle, info.has_even_cycle) == (4, False, True)
 
 
+def test_shortest_cycle_parity_matches_networkx_cycles():
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        Graph(G.number_of_nodes(), tuple(G.edges())) for G in nx.graph_atlas_g()
+    ]
+    rng = random.Random(20)
+    for _ in range(300):
+        v = rng.randint(1, 8)
+        k = rng.randint(0, 12)
+        graphs.append(Graph(v, tuple((rng.randrange(v), rng.randrange(v)) for _ in range(k))))
+    for g in graphs:
+        simple = nx.Graph()
+        simple.add_nodes_from(range(g.vertex_count))
+        simple.add_edges_from((u, w) for u, w in g.edges if u != w)
+        lengths = [len(c) for c in nx.simple_cycles(simple)]
+        expected = (
+            g.has_loop(),
+            min(lengths, default=None),
+            any(n % 2 for n in lengths),
+            any(n % 2 == 0 for n in lengths),
+        )
+        info = shortest_cycle_parity(g)
+        assert (info.has_loop, info.girth, info.has_odd_cycle, info.has_even_cycle) == expected, g
+
+
 def test_generators():
     assert cycle(3) == P3
     k4 = complete(4)

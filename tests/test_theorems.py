@@ -1,7 +1,15 @@
 import pytest
 
 from chromhom.algebra import make_deformed, make_truncated
-from chromhom.graph import Graph, complete, cycle, delete_edge, polygon_with_diagonals, wedge
+from chromhom.graph import (
+    Graph,
+    complete,
+    cycle,
+    delete_edge,
+    path,
+    polygon_with_diagonals,
+    wedge,
+)
 from chromhom.homology import AbelianGroup, compute_all
 from chromhom.theorems import (
     check_conjecture_fixtures,
@@ -201,6 +209,27 @@ def test_vgon_diagonals():
     # spot value: square with a diagonal has H^{2,2} = Z_2 over A_2
     h = compute_all(square_diag, A2)
     assert h.group(2, 2) == AbelianGroup(0, (2,))
+    # parallel chords share endpoints, which is not a crossing
+    assert check_vgon_diagonals(polygon_with_diagonals(5, [(0, 2), (0, 2)]), A2).passed
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path(4),
+        cycle(1),
+        cycle(2),
+        complete(4),  # its first four edges are not a 4-gon
+        Graph(4, ((0, 1), (1, 0), (2, 3), (3, 2))),  # two double edges
+        polygon_with_diagonals(4, [(1, 1)]),
+        polygon_with_diagonals(5, [(0, 2), (1, 3)]),
+        polygon_with_diagonals(6, [(0, 3), (1, 4)]),
+    ],
+    ids=["path4", "loop", "digon", "k4", "double-edges", "loop-chord", "cross5", "cross6"],
+)
+def test_vgon_diagonals_refuses_graphs_outside_its_statement(g):
+    with pytest.raises(ValueError):
+        check_vgon_diagonals(g, A2)
 
 
 def test_square_ladder_shape():
