@@ -186,7 +186,7 @@ _SINGLE_CHECKS = {
         _GA, lambda args, g, a: theorems.check_del_contract_exactness(g, args.edge, a)
     ),
     "dichotomy": (("graph",), lambda args, g, a: theorems.check_torsion_dichotomy(g)),
-    "polygon": ((), lambda args, g, a: theorems.check_polygon_formula(args.n)),
+    "a2-chromatic": (("graph",), lambda args, g, a: theorems.check_a2_chromatic(g)),
     "p3-am": ((), lambda args, g, a: theorems.check_p3_Am(args.m)),
     "deformed-p3": ((), lambda args, g, a: theorems.check_deformed_p3(
         [int(c) for c in args.p.split(",")]
@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jrange", help="restrict internal degree, LO:HI")
     p.add_argument("--format", choices=("table", "json", "triplets"),
                    default="table")
-    p.add_argument("--jobs", type=int, default=1, help="parallel Smith reductions")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, each assembling and reducing whole degree slices")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("chromatic", help="chromatic polynomial, coefficients low to high")
@@ -271,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", help="'paper' runs the whole fixture suite")
     p.add_argument("--check", help="run one named check")
     p.add_argument("--edge", type=int, default=0)
-    p.add_argument("--n", type=int, default=3)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--p", default="0,0,1", help="polynomial coefficients, low to high")
     p.add_argument("--seed", type=int, default=0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, make_deformed, make_truncated, qdim
-from .chromatic import Poly, euler_check
+from .chromatic import Poly, chromatic_polynomial, euler_check
 from .complexes import Cube, IntMatrix, StateBasis, differential, enumerate_basis
 from .graph import (
     Graph,
@@ -325,36 +325,56 @@ def check_torsion_dichotomy(g: Graph, h: BigradedHomology | None = None) -> Chec
     return CheckReport("torsion-dichotomy", params, True)
 
 
-def polygon_a2_closed_form(n: int) -> dict[tuple[int, int], AbelianGroup]:
-    """Closed-form cohomology of the n-gon over Z[x]/(x^2), all heights."""
-    Z = AbelianGroup(1)
-    Z2 = AbelianGroup(0, (2,))
-    out: dict[tuple[int, int], AbelianGroup] = {}
-    if n >= 2:
-        if n % 2 == 0:
-            out[(0, n)] = Z
-            out[(0, n - 1)] = Z
-        else:
-            out[(0, n)] = Z
-    for i in range(1, n + 1):
-        k = n - i
-        if k <= 1:
-            continue
-        if k % 2 == 0:
-            out[(i, k)] = Z2
-            out[(i, k - 1)] = Z
-        else:
-            out[(i, k)] = Z
-    return out
+def _connected(g: Graph) -> bool:
+    return components(g, (1 << g.edge_count) - 1).component_count == 1
 
 
-def check_polygon_formula(n: int) -> CheckReport:
-    if n < 1:
-        raise ValueError("polygons need n >= 1")
-    h = compute_all(cycle(n), make_truncated(2))
-    diff = _group_diff(h.groups, polygon_a2_closed_form(n))
-    params = {"n": n, "algebra": "trunc:2"}
-    return CheckReport("polygon-closed-form", params, not diff, witness=diff or None)
+def a2_closed_form(g: Graph) -> dict[tuple[int, int], AbelianGroup]:
+    """Every H^{i,j}(G) over Z[x]/(x^2) from P_G alone, for a connected graph G.
+
+    Indices as in the engine: i counts the edges of a state and j is the
+    q-degree, with x in degree 1.  A loop makes every group 0.  Otherwise
+    let v be the vertex count and b = 1 if G is bipartite, else 0; then
+    P_G(1+q) - b q^(v-1) (1+q) = (q^2 - 1) sum_i (-1)^i u_i q^(v-2-i) exactly,
+    H^{0,v} = Z, H^{0,v-1} = Z^b, and for i >= 1
+    H^{i,v-i} = Z^(u_i) + Z_2^(u_(i-1)) and H^{i,v-1-i} = Z^(u_(i-1));
+    every other group is 0.  Parallel edges change neither P_G nor H.
+    The free part is the knight-move pairing of Chmutov-Chmutov-Rong,
+    *Knight move in chromatic cohomology* (European J. Combin., 2008); that
+    Z_2 is the only torsion and P_G fixes the groups is Lowrance-Sazdanovic,
+    *Chromatic homology, Khovanov homology, and torsion* (Topology Appl.,
+    2017).  A graph without exactly one component raises ValueError:
+    diamond + K2 and K3 + K3 share P_G but not H.
+    """
+    if not _connected(g):
+        raise ValueError("the A_2 closed form needs a connected graph")
+    if g.has_loop():
+        return {}
+    v = g.vertex_count
+    b = 0 if shortest_cycle_parity(g).has_odd_cycle else 1
+    shifted = chromatic_polynomial(g).compose(Poly({0: 1, 1: 1}))
+    rest = shifted - Poly({v - 1: b, v: b})
+    quot = [0] * (v + 1)  # divide by q^2 - 1 from the top, degree v down
+    for k in range(v, 1, -1):
+        quot[k - 2] = rest.coeff(k) + quot[k]
+    if rest.coeff(0) + quot[0] or rest.coeff(1) + quot[1]:
+        raise ArithmeticError(f"q^2 - 1 does not divide {shifted} for {g}")
+    u = [(-1) ** i * quot[v - 2 - i] for i in range(v - 1)] + [0]
+    cells = {(0, v): (1, 0), (0, v - 1): (b, 0)}
+    for i in range(1, v):
+        cells[(i, v - i)] = (u[i], u[i - 1])
+        cells[(i, v - 1 - i)] = (u[i - 1], 0)
+    groups = {k: AbelianGroup(free, (2,) * twos) for k, (free, twos) in cells.items()}
+    return {k: grp for k, grp in groups.items() if not grp.is_trivial}
+
+
+def check_a2_chromatic(g: Graph, h: BigradedHomology | None = None) -> CheckReport:
+    """H over Z[x]/(x^2) of a connected graph equals ``a2_closed_form``."""
+    expected = a2_closed_form(g)
+    h = h if h is not None else compute_all(g, make_truncated(2))
+    diff = _group_diff(h.groups, expected)
+    return CheckReport("a2-chromatic", {"graph": g.to_json_dict()}, not diff,
+                       witness=diff or None)
 
 
 def check_p3_Am(m: int) -> CheckReport:
@@ -612,29 +632,6 @@ def soft_xm_minus_one_polygons(m: int, vs=(2, 3, 4, 5)) -> CheckReport:
     )
 
 
-def soft_a2_torsion_order(reports: list[tuple[Graph, BigradedHomology]]) -> CheckReport:
-    """Conjecture: all torsion over Z[x]/(x^2) has order exactly 2.
-
-    Any other invariant factor is reported loudly (still soft: the statement
-    is only conjectured).
-    """
-    offenders = []
-    for g, h in reports:
-        for (i, j), grp in h.groups.items():
-            for t in grp.torsion:
-                if t != 2:
-                    offenders.append(
-                        {"graph": g.to_json_dict(), "i": i, "j": j, "factor": t}
-                    )
-    notes = (
-        f"COUNTEREXAMPLE CANDIDATES: {offenders}"
-        if offenders
-        else f"all torsion factors equal 2 across {len(reports)} computations"
-    )
-    return CheckReport("soft-a2-torsion-order", {}, True, witness=offenders or None,
-                       soft=True, notes=notes)
-
-
 def square_ladder(k: int) -> Graph:
     """Exploratory 2 x (k+1) grid fixture (k squares in a row).
 
@@ -712,7 +709,6 @@ def run_suite(seed: int = 0) -> list[CheckReport]:
     fixtures += [k4, delete_edge(k4, 0), wedge(cycle(3), cycle(3))]
     fixtures += [random_simple_graph(rng) for _ in range(6)]
 
-    a2_results: list[tuple[Graph, BigradedHomology]] = []
     for g in fixtures:
         for a in (a2, a3):
             h = compute_all(g, a)
@@ -732,10 +728,9 @@ def run_suite(seed: int = 0) -> list[CheckReport]:
                 reports.append(_wrap(check_thickness, g, a, h))
             if a is a2:
                 reports.append(_wrap(check_torsion_dichotomy, g, h))
-                a2_results.append((g, h))
+                if _connected(g):
+                    reports.append(_wrap(check_a2_chromatic, g, h))
 
-    for n in range(1, 9):
-        reports.append(_wrap(check_polygon_formula, n))
     for m in (2, 3, 4, 5):
         reports.append(_wrap(check_p3_Am, m))
     for p in ([0, 0, 1], [0, 0, 0, 1], [0, -1, 1], [-3, -2, 1], [1, -2, 1], [-1, 0, 0, 1]):
@@ -758,6 +753,5 @@ def run_suite(seed: int = 0) -> list[CheckReport]:
                          [cycle(3), k4, square_diag, tri_tail, cycle(4)], 3))
     reports.append(_wrap(soft_xm_minus_one_polygons, 2))
     reports.append(_wrap(soft_xm_minus_one_polygons, 3))
-    reports.append(_wrap(soft_a2_torsion_order, a2_results))
     reports.append(_wrap(soft_square_family))
     return reports

@@ -23,16 +23,17 @@ from chromhom.graph import Graph, complete, cycle, delete_edge, polygon_with_dia
 from chromhom.homology import AbelianGroup, compute_all, poincare_series, smith_normal_form
 from chromhom.theorems import (
     CheckReport,
+    check_a2_chromatic,
     check_del_contract_exactness,
     check_pendant,
     check_thickness,
     check_torsion_dichotomy,
     check_vanishing,
-    check_polygon_formula,
     conjecture_polygon_h1,
     find_pendant_edges,
     random_multigraph,
     soft_triangle_square_torsion,
+    _connected,
     _is_truncated_type,
 )
 
@@ -85,14 +86,14 @@ def test_criterion_01_polygon_table():
 
 
 def test_criterion_02_polygon_closed_form():
+    # cycle(1) is the loop and cycle(2) the double edge
     t0 = time.time()
     bad = []
     for n in range(1, 9):
-        rep = check_polygon_formula(n)
+        rep = check_a2_chromatic(cycle(n), compute_checked(cycle(n), A2))
         if not rep.passed:
             bad.append((n, rep.witness))
-        RESULTS.append((cycle(n), A2, compute_all(cycle(n), A2)))
-    report(2, "closed-form polygon check n=1..8", not bad, t0)
+    report(2, "A_2 closed form from P_G on polygons n=1..8", not bad, t0)
     assert not bad
     assert time.time() - t0 < 30
 
@@ -150,7 +151,7 @@ def test_criterion_05_published_a3_fixtures():
     assert time.time() - t0 < 60
 
 
-# --- criterion 6: exhaustive torsion dichotomy -------------------------------
+# --- criterion 6: exhaustive torsion dichotomy and A_2 closed form -----------
 
 def _atlas_connected_up_to_six():
     nx = pytest.importorskip("networkx")
@@ -180,10 +181,12 @@ def test_criterion_06_torsion_dichotomy_exhaustive():
     failures = []
     for g in graphs:
         h = compute_checked(g, A2)
-        rep = check_torsion_dichotomy(g, h)
-        if not rep.passed:
-            failures.append(rep.to_json_dict())
-    report(6, "torsion dichotomy, 143 graph classes + 50 multigraphs", not failures, t0)
+        reps = [check_torsion_dichotomy(g, h)]
+        if _connected(g):
+            reps.append(check_a2_chromatic(g, h))
+        failures += [rep.to_json_dict() for rep in reps if not rep.passed]
+    report(6, "torsion dichotomy and A_2 closed form, 143 graph classes + 50 multigraphs",
+           not failures, t0)
     assert not failures, failures[:3]
     assert time.time() - t0 < 600
 
@@ -209,10 +212,9 @@ def test_extended_dichotomy_seven_vertices():
     failures = []
     for g in graphs:
         h = compute_all(g, A2)
-        rep = check_torsion_dichotomy(g, h)
-        if not rep.passed:
-            failures.append(rep.to_json_dict())
-    print(f"extended dichotomy: {len(graphs)} seven-vertex classes in "
+        reps = [check_torsion_dichotomy(g, h), check_a2_chromatic(g, h)]
+        failures += [rep.to_json_dict() for rep in reps if not rep.passed]
+    print(f"extended dichotomy and A_2 closed form: {len(graphs)} seven-vertex classes in "
           f"{time.time() - t0:.1f}s, failures: {len(failures)}")
     assert not failures, failures[:3]
 
@@ -421,19 +423,4 @@ def test_criterion_12_soft_check_report():
         print("  polygon H^1 conjecture:", line)
     for chunk in rep.notes.split("; "):
         print("  triangle/square torsion conjecture:", chunk)
-    # scan every trunc:2 computation made in this run for torsion of order
-    # other than exactly 2 (conjectured impossible; reported, not asserted)
-    _ensure_core_results()
-    scanned = 0
-    offenders = []
-    for g, a, h in RESULTS:
-        if a.spec != "trunc:2":
-            continue
-        scanned += 1
-        for (i, j), grp in h.groups.items():
-            offenders += [
-                (g.to_json_dict(), i, j, t) for t in grp.torsion if t != 2
-            ]
-    print(f"  order-2 torsion conjecture: {scanned} computations scanned, "
-          f"{'no counterexamples' if not offenders else offenders[:3]}")
     report(12, "soft-check report emitted", True, t0)

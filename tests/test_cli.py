@@ -171,11 +171,11 @@ def test_bases_refuses_the_degrees_compute_refuses(capsys):
 
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--check", "polygon", "--n", "5",
+        capsys, "verify", "--check", "a2-chromatic", "--graph", "gen:cycle:5",
     )
     assert code == 0
     rec = json.loads(out.splitlines()[0])
-    assert rec["check"] == "polygon-closed-form" and rec["passed"]
+    assert rec["check"] == "a2-chromatic" and rec["passed"]
 
 
 def test_verify_vgon_and_exactness_checks(capsys):
@@ -184,11 +184,17 @@ def test_verify_vgon_and_exactness_checks(capsys):
         "--graph", "gen:vgon:4:0-2", "--algebra", "trunc:2",
     )
     assert code == 0 and json.loads(out.splitlines()[0])["passed"]
-    for graph in ("gen:path:4", "gen:complete:4", "gen:cycle:1", "gen:vgon:5:0-2,1-3"):
+    for check, graph in (
+        ("vgon", "gen:path:4"),
+        ("vgon", "gen:complete:4"),
+        ("vgon", "gen:cycle:1"),
+        ("vgon", "gen:vgon:5:0-2,1-3"),
+        ("a2-chromatic", "gen:complete:0"),  # no component
+    ):
         code, out, err = run_cli(
-            capsys, "verify", "--check", "vgon", "--graph", graph, "--algebra", "trunc:2",
+            capsys, "verify", "--check", check, "--graph", graph, "--algebra", "trunc:2",
         )
-        assert code == 2 and not out and "error" in err, graph
+        assert code == 2 and not out and "error" in err, (check, graph)
     code, out, _ = run_cli(
         capsys, "verify", "--check", "exactness",
         "--graph", "gen:cycle:4", "--algebra", "trunc:3", "--edge", "1",
@@ -233,10 +239,12 @@ def test_usage_errors_exit_2(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and not out and "required" in err, argv
-    for check in ("vanishing", "thickness", "pendant", "exactness", "dichotomy", "vgon"):
+    for check in (
+        "vanishing", "thickness", "pendant", "exactness", "dichotomy", "vgon", "a2-chromatic",
+    ):
         code, out, err = run_cli(capsys, "verify", "--check", check, "--algebra", "trunc:2")
         assert code == 2 and not out and "--graph" in err, check
-        if check != "dichotomy":
+        if check not in ("dichotomy", "a2-chromatic"):
             code, out, err = run_cli(capsys, "verify", "--check", check, "--graph", "gen:cycle:3")
             assert code == 2 and not out and "--algebra" in err, check
     for check in ("exactness", "pendant"):
@@ -449,7 +457,7 @@ def test_verify_paper_suite_exit_zero(capsys):
     records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
     assert all(r["passed"] or r["soft"] for r in records)
     # the whole report stream, byte for byte: any change to a report shows
-    digest = "9a0699a804c485c412293c528b8f5ee08bf2cdf9fbc7514962f43457a76f6a59"
+    digest = "ec6f27903ce552a3eb1b8cebc19aae1399c36ab2c7c922ad0e373fcd41cdf832"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from chromhom.algebra import make_deformed, make_truncated
+from chromhom.chromatic import chromatic_polynomial
 from chromhom.graph import (
     Graph,
     complete,
@@ -12,19 +13,19 @@ from chromhom.graph import (
 )
 from chromhom.homology import AbelianGroup, compute_all
 from chromhom.theorems import (
+    a2_closed_form,
+    check_a2_chromatic,
     check_conjecture_fixtures,
     check_deformed_p3,
     check_del_contract_exactness,
     check_p3_Am,
     check_pendant,
-    check_polygon_formula,
     check_thickness,
     check_torsion_dichotomy,
     check_vanishing,
     check_vgon_diagonals,
     find_pendant_edges,
     poly_gcd_degree,
-    polygon_a2_closed_form,
     run_suite,
     square_ladder,
     tensor_with_complement,
@@ -142,14 +143,26 @@ def test_polygon_closed_form_matches_table():
         (3, 2): AbelianGroup(0, (2,)),
         (3, 1): AbelianGroup(1),
     }
-    assert polygon_a2_closed_form(5) == expected_p5
+    assert a2_closed_form(cycle(5)) == expected_p5
     for n in range(1, 9):
-        assert check_polygon_formula(n).passed
+        assert check_a2_chromatic(cycle(n)).passed
 
 
 def test_larger_polygons_match_closed_form():
     for n in (10, 12):
-        assert check_polygon_formula(n).passed
+        assert check_a2_chromatic(cycle(n)).passed
+
+
+def test_a2_closed_form_refuses_disconnected_graphs():
+    # P_G cannot fix H of a disconnected graph: these two share
+    # P_G = x^2 (x-1)^2 (x-2)^2 but not their groups
+    two_triangles = Graph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    diamond_k2 = Graph(6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5)))
+    assert chromatic_polynomial(two_triangles) == chromatic_polynomial(diamond_k2)
+    assert compute_all(two_triangles, A2).groups != compute_all(diamond_k2, A2).groups
+    for g in (two_triangles, complete(0)):
+        with pytest.raises(ValueError, match="connected"):
+            a2_closed_form(g)
 
 
 def test_polygon_top_height_equals_triangle():
