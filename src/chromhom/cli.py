@@ -130,8 +130,6 @@ def cmd_compute(args) -> int:
     h = compute_all(g, a, j_range=j_range, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps(h.to_json_dict()))
-    elif args.format == "triplets":
-        _print_slices(Cube(g, a), degree_range(g, a, j_range))
     else:
         print(render_table(h))
     # The Euler identity needs every degree; restricted ranges skip it.
@@ -187,10 +185,7 @@ _SINGLE_CHECKS = {
     ),
     "dichotomy": (("graph",), lambda args, g, a: theorems.check_torsion_dichotomy(g)),
     "a2-chromatic": (("graph",), lambda args, g, a: theorems.check_a2_chromatic(g)),
-    "p3-am": ((), lambda args, g, a: theorems.check_p3_Am(args.m)),
-    "deformed-p3": ((), lambda args, g, a: theorems.check_deformed_p3(
-        [int(c) for c in args.p.split(",")]
-    )),
+    "polygon-hh": (_GA, lambda args, g, a: theorems.check_polygon_hh(g, a)),
     "vgon": (_GA, lambda args, g, a: theorems.check_vgon_diagonals(g, a)),
     "fixtures": ((), lambda args, g, a: theorems.check_conjecture_fixtures()),
 }
@@ -249,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute all cohomology groups")
     add_common(p, memory_cap=True)
     p.add_argument("--jrange", help="restrict internal degree, LO:HI")
-    p.add_argument("--format", choices=("table", "json", "triplets"),
-                   default="table")
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, each assembling and reducing whole degree slices")
     p.set_defaults(fn=cmd_compute)
@@ -272,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", help="'paper' runs the whole fixture suite")
     p.add_argument("--check", help="run one named check")
     p.add_argument("--edge", type=int, default=0)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--p", default="0,0,1", help="polynomial coefficients, low to high")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -372,7 +372,9 @@ def cokernel_oracle(generators, degree_bound: int) -> AbelianGroup:
     1, x, ..., x^(bound-1); the quotient of Z^bound by their span is the
     group.  A monic generator must be present, otherwise the quotient has
     unbounded rank and the truncation would be meaningless.  This path never
-    touches the chain-complex machinery, so it can act as an oracle for it.
+    touches the chain complexes, so it can act as an oracle for them; it does
+    share ``smith_normal_form`` with the engine, so ``tests/test_homology.py``
+    pins its values as literals.
     """
     polys = []
     for gen in generators:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Algebra, make_deformed, make_truncated, qdim
 from .chromatic import Poly, chromatic_polynomial, euler_check
@@ -35,7 +34,6 @@ from .homology import (
     compute_all,
     degree_range,
     group_from_cyclic,
-    poincare_series,
 )
 
 
@@ -377,120 +375,75 @@ def check_a2_chromatic(g: Graph, h: BigradedHomology | None = None) -> CheckRepo
                        witness=diff or None)
 
 
-def check_p3_Am(m: int) -> CheckReport:
-    """Triangle over Z[x]/(x^m): lone Z_m at (1, m) and the stated free ranks."""
-    if m < 2:
-        raise ValueError("needs m >= 2")
-    a = make_truncated(m)
-    h = compute_all(cycle(3), a)
-    params = {"m": m}
-    torsion_cells = {k: grp.torsion for k, grp in h.groups.items() if grp.torsion}
-    if torsion_cells != {(1, m): (m,)}:
-        return CheckReport("p3-truncated", params, False, witness=torsion_cells)
-    s = Poly(qdim(a)) - Poly({0: 1})
-    expected = {(0, j): c for j, c in (s**3).c.items()} | {(1, j): c for j, c in s.c.items()}
-    actual = poincare_series(h)
-    if actual != expected:
-        return CheckReport(
-            "p3-truncated", params, False,
-            witness={"poincare": actual, "expected": expected},
-        )
-    return CheckReport("p3-truncated", params, True)
-
-
 def poly_derivative(p: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def poly_gcd_degree(p: list[int], q: list[int]) -> int:
-    """Degree of gcd(p, q) over the rationals (Euclid with fractions)."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
+def polygon_closed_form(g: Graph, a: Algebra) -> dict[tuple[int, int], AbelianGroup]:
+    """Every H^{i,j} of a polygon over A = Z[x]/(p), p monic of degree m.
 
-    def trim(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = trim(a), trim(b)
-    while b:
-        # a mod b
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for k, c in enumerate(b):
-                a[k + shift] -= f * c
-            trim(a)
-        a, b = b, a
-    return len(a) - 1 if a else -1
-
-
-def check_deformed_p3(p: list[int]) -> CheckReport:
-    """Triangle over Z[x]/(p): H^1 equals the independent cokernel oracle.
-
-    Also checks the free-rank formulas: rank H^1 = deg gcd(p, p') and
-    rank H^0 = m(m-1)(m-2) + deg gcd(p, p') for m = deg p, and that nothing
-    lives above height 1.
+    The polygon is any connected graph whose every vertex has degree 2, so
+    n = v counts its edges; the loop (n = 1) and the double edge (n = 2)
+    are polygons.  Indices as in the engine: i counts the edges of a state
+    and j is the q-degree, with x in degree 1 when p = x^m.  For
+    1 <= i <= n-2, H^{i,j} = HH_{n-1-i,j}(A), the Hochschild homology of A
+    with j not shifted; every group with i >= n-1 is 0.  A monic p gives A a
+    2-periodic resolution, so for k >= 1, HH_k = A/(p') when k is odd and
+    Ann_A(p') = Z^(rank of A/(p')) when k is even, with A/(p') computed by
+    ``cokernel_oracle``.  For p = x^m, with s = floor(k/2) m, HH_k is Z at
+    each j = s+1 .. s+m-1, plus Z_m at j = s+m when k is odd; for any other
+    p, A is ungraded and every group sits at j = 0.  H^{0,j} is free, of the
+    rank the Euler characteristic leaves: [q^j] P_G(qdim A), or P_G(m) when A
+    is ungraded, plus the sum over i >= 1 of (-1)^(i+1) rank H^{i,j}.  Over
+    Z (m = 1) only H^0 can be nonzero.  A ``window:J`` algebra is x^(J+1)
+    with the degrees j > J dropped.  That polygon cohomology is Hochschild
+    homology is Przytycki, *When the theories meet: Khovanov homology as
+    Hochschild homology of links* (Quantum Topology 1, 2010); Lowrance and
+    Sazdanovic, *Chromatic homology, Khovanov homology, and torsion*
+    (Topology Appl., 2017), extend it.  Any other graph, and any algebra
+    that is not Z[x]/(p) as ``make_deformed`` builds it, raises ValueError.
     """
-    a = make_deformed(p)
+    n = g.vertex_count
+    if not _connected(g) or any(g.degree(v) != 2 for v in range(n)):
+        raise ValueError("the polygon closed form needs a connected graph of degree-2 vertices")
     m = a.rank
-    h = compute_all(cycle(3), a)
-    params = {"p": list(p)}
-    h1 = h.total(1)
-    oracle = cokernel_oracle([p, poly_derivative(p)], 2 * m + 2)
-    if h1 != oracle:
-        return CheckReport(
-            "deformed-p3", params, False,
-            witness={"H1": str(h1), "oracle": str(oracle)},
-        )
-    d = poly_gcd_degree(list(p), poly_derivative(list(p)))
-    d = max(d, 0)
-    if h1.free_rank != d:
-        return CheckReport(
-            "deformed-p3", params, False,
-            witness={"rank_H1": h1.free_rank, "deg_gcd": d},
-        )
-    h0 = h.total(0)
-    if h0.free_rank != m * (m - 1) * (m - 2) + d or h0.torsion:
-        return CheckReport(
-            "deformed-p3", params, False,
-            witness={"H0": str(h0), "expected_rank": m * (m - 1) * (m - 2) + d},
-        )
-    if any(i >= 2 for (i, _j) in h.groups):
-        return CheckReport(
-            "deformed-p3", params, False,
-            witness={"unexpected_heights": sorted({i for i, _ in h.groups if i >= 2})},
-        )
-    return CheckReport("deformed-p3", params, True)
+    cells: dict[tuple[int, int], AbelianGroup] = {}
+    if m >= 2:  # Z itself has HH_k = 0 for k >= 1
+        p = [-c for c in a.mult[1][m - 1]] + [1]  # x^m = x * x^(m-1) mod p
+        ref = make_deformed(p)
+        if (ref.mult, ref.degrees, ref.graded) != (a.mult, a.degrees, a.graded):
+            raise ValueError(f"{a.spec} is not Z[x]/(p) for a monic p")
+        odd = cokernel_oracle([p, poly_derivative(p)], 2 * m + 2)
+        for i in range(1, n - 1):
+            k = n - 1 - i
+            if not a.graded:
+                cells[(i, 0)] = odd if k % 2 else AbelianGroup(odd.free_rank)
+                continue
+            s = k // 2 * m
+            cells.update({(i, j): AbelianGroup(1) for j in range(s + 1, s + m)})
+            if k % 2:
+                cells[(i, s + m)] = AbelianGroup(0, (m,))
+    h0 = chromatic_polynomial(g).compose(Poly(qdim(a) if a.graded else {0: m}))
+    for (i, j), grp in cells.items():
+        h0 = h0 + Poly({j: (-1) ** (i + 1) * grp.free_rank})
+    cells.update({(0, j): AbelianGroup(r) for j, r in h0.c.items()})
+    return {
+        k: grp for k, grp in cells.items()
+        if not grp.is_trivial and (a.window is None or k[1] <= a.window)
+    }
 
 
-def conjecture_polygon_h1(m: int, v: int) -> tuple[bool, str]:
-    """Evaluate the conjectured H^1 of the v-gon over Z[x]/(x^m) (soft)."""
-    h = compute_all(cycle(v), make_truncated(m))
-    height1 = {j: grp for (i, j), grp in h.groups.items() if i == 1}
-    g_half = (v - 1) // 2
-    if v % 2 == 1:
-        expected = {
-            (g_half - 1) * m + d: AbelianGroup(1) for d in range(1, m)
-        }
-        tor_cell = g_half * m
-        expected[tor_cell] = expected.get(tor_cell, TRIVIAL_GROUP).direct_sum(
-            AbelianGroup(0, (m,))
-        )
-    else:
-        g_half = (v - 2) // 2
-        expected = {g_half * m + d: AbelianGroup(1) for d in range(1, m)}
-    agree = height1 == expected
-    return agree, (
-        f"m={m} v={v}: computed "
-        + repr({j: str(grp) for j, grp in sorted(height1.items())})
-        + (" == conjecture" if agree else " != conjectured "
-           + repr({j: str(grp) for j, grp in sorted(expected.items())}))
-    )
+def check_polygon_hh(g: Graph, a: Algebra, h: BigradedHomology | None = None) -> CheckReport:
+    """H of a polygon over Z[x]/(p) equals ``polygon_closed_form``."""
+    expected = polygon_closed_form(g, a)
+    h = h if h is not None else compute_all(g, a)
+    diff = _group_diff(h.groups, expected)
+    return CheckReport("polygon-hh", {"graph": g.to_json_dict(), "algebra": a.spec},
+                       not diff, witness=diff or None)
 
 
 def check_conjecture_fixtures() -> CheckReport:
-    """Published spot values (hard) plus the polygon-H^1 conjecture (soft notes)."""
+    """Published spot values of trunc:3 cohomology."""
     failures = {}
     h5 = compute_all(cycle(5), make_truncated(3))
     if h5.group(1, 6) != AbelianGroup(0, (3,)):
@@ -502,18 +455,7 @@ def check_conjecture_fixtures() -> CheckReport:
     hk = compute_all(complete(4), make_truncated(3))
     if hk.group(1, 5) != AbelianGroup(2, (3, 3, 6)):
         failures["H^(1,5) K_4 A_3"] = str(hk.group(1, 5))
-    notes = []
-    for m in (2, 3):
-        for v in (4, 5, 6):
-            _agree, line = conjecture_polygon_h1(m, v)
-            notes.append(line)
-    return CheckReport(
-        "published-fixtures",
-        {},
-        not failures,
-        witness=failures or None,
-        notes="polygon H^1 conjecture: " + "; ".join(notes),
-    )
+    return CheckReport("published-fixtures", {}, not failures, witness=failures or None)
 
 
 def _require_polygon_with_chords(g: Graph) -> None:
@@ -552,20 +494,10 @@ def check_vgon_diagonals(g: Graph, a: Algebra) -> CheckReport:
     v = g.vertex_count
     params = {"graph": g.to_json_dict(), "algebra": a.spec}
     h = compute_all(g, a)
-    hp3 = compute_all(cycle(3), a)
     top = {j: grp for (i, j), grp in h.groups.items() if i == v - 2}
-    tri = {j: grp for (i, j), grp in hp3.groups.items() if i == 1}
+    tri = {j: grp for (i, j), grp in polygon_closed_form(cycle(3), a).items() if i == 1}
     diff = _group_diff(top, tri)  # j -> (top group, triangle H^1)
-    if diff:
-        return CheckReport("vgon-diagonals", params, False, witness=diff)
-    if _is_truncated_type(a):
-        m = a.rank
-        if h.group(v - 2, m) != AbelianGroup(0, (m,)):
-            return CheckReport(
-                "vgon-diagonals", params, False,
-                witness={f"H^({v - 2},{m})": str(h.group(v - 2, m))},
-            )
-    return CheckReport("vgon-diagonals", params, True)
+    return CheckReport("vgon-diagonals", params, not diff, witness=diff or None)
 
 
 # ---------------------------------------------------------------------------
@@ -612,23 +544,6 @@ def soft_triangle_square_torsion(graphs: list[Graph], m: int) -> CheckReport:
     return CheckReport(
         "soft-triangle-square-torsion", {"m": m}, True, soft=True,
         notes="; ".join(lines) or "no applicable fixtures",
-    )
-
-
-def soft_xm_minus_one_polygons(m: int, vs=(2, 3, 4, 5)) -> CheckReport:
-    """Conjecture: H^1 over Z[x]/(x^m - 1) is 0 for even v-gons, Z_m^m for odd."""
-    p = [-1] + [0] * (m - 1) + [1]
-    a = make_deformed(p)
-    lines = []
-    for v in vs:
-        h = compute_all(cycle(v), a)
-        h1 = h.total(1)
-        expected = TRIVIAL_GROUP if v % 2 == 0 else group_from_cyclic(0, [m] * m)
-        lines.append(
-            f"v={v}: H^1={h1} {'==' if h1 == expected else '!='} {expected}"
-        )
-    return CheckReport(
-        "soft-xm-minus-one-polygons", {"m": m}, True, soft=True, notes="; ".join(lines)
     )
 
 
@@ -704,7 +619,8 @@ def run_suite(seed: int = 0) -> list[CheckReport]:
     a2 = make_truncated(2)
     a3 = make_truncated(3)
 
-    fixtures: list[Graph] = [cycle(n) for n in range(1, 9)]
+    polygons = [cycle(n) for n in range(1, 9)]
+    fixtures: list[Graph] = list(polygons)
     k4 = complete(4)
     fixtures += [k4, delete_edge(k4, 0), wedge(cycle(3), cycle(3))]
     fixtures += [random_simple_graph(rng) for _ in range(6)]
@@ -726,15 +642,23 @@ def run_suite(seed: int = 0) -> list[CheckReport]:
                 g.degree(v) > 0 for v in range(g.vertex_count)
             ):
                 reports.append(_wrap(check_thickness, g, a, h))
+            if g in polygons:
+                reports.append(_wrap(check_polygon_hh, g, a, h))
             if a is a2:
                 reports.append(_wrap(check_torsion_dichotomy, g, h))
                 if _connected(g):
                     reports.append(_wrap(check_a2_chromatic, g, h))
 
-    for m in (2, 3, 4, 5):
-        reports.append(_wrap(check_p3_Am, m))
-    for p in ([0, 0, 1], [0, 0, 0, 1], [0, -1, 1], [-3, -2, 1], [1, -2, 1], [-1, 0, 0, 1]):
-        reports.append(_wrap(check_deformed_p3, p))
+    # The fixture loop has the triangle over trunc:2 and trunc:3, and the
+    # polygon loop below the triangle over x^3 - 1.
+    triangle_algebras = [make_truncated(4), make_truncated(5)] + [
+        make_deformed(p) for p in ([0, 0, 1], [0, 0, 0, 1], [0, -1, 1], [-3, -2, 1], [1, -2, 1])
+    ]
+    for a in triangle_algebras:
+        reports.append(_wrap(check_polygon_hh, cycle(3), a))
+    for p in ([-1, 0, 1], [-1, 0, 0, 1]):
+        for n in (2, 3, 4, 5):
+            reports.append(_wrap(check_polygon_hh, cycle(n), make_deformed(p)))
     for g, e in ((cycle(3), 0), (cycle(4), 1), (k4, 0)):
         for a in (a2, a3):
             reports.append(_wrap(check_del_contract_exactness, g, e, a))
@@ -751,7 +675,5 @@ def run_suite(seed: int = 0) -> list[CheckReport]:
 
     reports.append(_wrap(soft_triangle_square_torsion,
                          [cycle(3), k4, square_diag, tri_tail, cycle(4)], 3))
-    reports.append(_wrap(soft_xm_minus_one_polygons, 2))
-    reports.append(_wrap(soft_xm_minus_one_polygons, 3))
     reports.append(_wrap(soft_square_family))
     return reports

@@ -190,6 +190,11 @@ def test_verify_vgon_and_exactness_checks(capsys):
         ("vgon", "gen:cycle:1"),
         ("vgon", "gen:vgon:5:0-2,1-3"),
         ("a2-chromatic", "gen:complete:0"),  # no component
+        ("polygon-hh", "gen:path:4"),
+        ("polygon-hh", "gen:complete:4"),
+        ("polygon-hh", "gen:complete:0"),
+        ("polygon-hh", "gen:complete:2"),
+        ("polygon-hh", "gen:vgon:5:0-2"),
     ):
         code, out, err = run_cli(
             capsys, "verify", "--check", check, "--graph", graph, "--algebra", "trunc:2",
@@ -241,6 +246,7 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2 and not out and "required" in err, argv
     for check in (
         "vanishing", "thickness", "pendant", "exactness", "dichotomy", "vgon", "a2-chromatic",
+        "polygon-hh",
     ):
         code, out, err = run_cli(capsys, "verify", "--check", check, "--algebra", "trunc:2")
         assert code == 2 and not out and "--graph" in err, check
@@ -271,7 +277,8 @@ def test_more_single_checks(capsys):
          "--algebra", "trunc:2"],
         ["verify", "--check", "thickness", "--graph", "gen:cycle:4",
          "--algebra", "trunc:3"],
-        ["verify", "--check", "p3-am", "--m", "3"],
+        ["verify", "--check", "polygon-hh", "--graph", "gen:cycle:5",
+         "--algebra", "trunc:3"],
         ["verify", "--check", "fixtures"],
     ):
         code, out, _ = run_cli(capsys, *argv)
@@ -431,15 +438,6 @@ def test_render_table_orientation():
     assert "[1_2]" in table
 
 
-def test_triplets_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "compute", "--graph", "gen:cycle:3", "--algebra", "trunc:2",
-        "--format", "triplets",
-    )
-    assert code == 0
-    assert "slice i=0 j=0" in out or "slice i=0 j=1" in out
-
-
 def test_edge_cap_exit_2(capsys, tmp_path):
     lines = ["vertices 65"] + [f"{i} {i + 1}" for i in range(64)]
     p = tmp_path / "big.txt"
@@ -457,7 +455,7 @@ def test_verify_paper_suite_exit_zero(capsys):
     records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
     assert all(r["passed"] or r["soft"] for r in records)
     # the whole report stream, byte for byte: any change to a report shows
-    digest = "ec6f27903ce552a3eb1b8cebc19aae1399c36ab2c7c922ad0e373fcd41cdf832"
+    digest = "149b7f41c3351d13fac1a425edf0f3bea52b7a80a00e6cd5c35f0b82e6c3d4a8"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

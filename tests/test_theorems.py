@@ -1,6 +1,6 @@
 import pytest
 
-from chromhom.algebra import make_deformed, make_truncated
+from chromhom.algebra import Algebra, make_deformed, make_poly_window, make_truncated
 from chromhom.chromatic import chromatic_polynomial
 from chromhom.graph import (
     Graph,
@@ -11,21 +11,20 @@ from chromhom.graph import (
     polygon_with_diagonals,
     wedge,
 )
-from chromhom.homology import AbelianGroup, compute_all
+from chromhom.homology import TRIVIAL_GROUP, AbelianGroup, compute_all
 from chromhom.theorems import (
     a2_closed_form,
     check_a2_chromatic,
     check_conjecture_fixtures,
-    check_deformed_p3,
     check_del_contract_exactness,
-    check_p3_Am,
     check_pendant,
+    check_polygon_hh,
     check_thickness,
     check_torsion_dichotomy,
     check_vanishing,
     check_vgon_diagonals,
     find_pendant_edges,
-    poly_gcd_degree,
+    polygon_closed_form,
     run_suite,
     square_ladder,
     tensor_with_complement,
@@ -187,28 +186,70 @@ def test_polygon_recursion():
 
 
 def test_p3_am():
+    # the triangle over trunc:m: Z at (1, 1..m-1) and a lone Z_m at (1, m)
     for m in (2, 3, 4):
-        assert check_p3_Am(m).passed
-
-
-def test_poly_gcd_degree():
-    assert poly_gcd_degree([0, 0, 1], [0, 2]) == 1  # gcd(x^2, 2x) = x
-    assert poly_gcd_degree([1, -2, 1], [-2, 2]) == 1  # (x-1)^2 vs 2(x-1)
-    assert poly_gcd_degree([-1, 0, 0, 1], [0, 0, 3]) == 0
-    assert poly_gcd_degree([0, -1, 1], [-1, 2]) == 0
+        tri = polygon_closed_form(cycle(3), make_truncated(m))
+        assert {k: g for k, g in tri.items() if k[0] == 1} == {
+            (1, j): AbelianGroup(1) if j < m else AbelianGroup(0, (m,)) for j in range(1, m + 1)
+        }
+        assert check_polygon_hh(cycle(3), make_truncated(m)).passed
 
 
 def test_deformed_p3_cases():
-    for p in ([0, 0, 1], [0, 0, 0, 1], [0, -1, 1], [-3, -2, 1], [1, -2, 1],
-              [-1, 0, 0, 1], [-1, 0, 0, 0, 1]):
-        rep = check_deformed_p3(p)
+    # the triangle over Z[x]/(p): H^1 = A/(p') when A is ungraded
+    for p, h1 in (([0, -1, 1], TRIVIAL_GROUP), ([-3, -2, 1], AbelianGroup(0, (2, 8))),
+                  ([1, -2, 1], AbelianGroup(1, (2,))), ([-1, 0, 0, 1], AbelianGroup(0, (3, 3, 3))),
+                  ([-1, 0, 0, 0, 1], AbelianGroup(0, (4, 4, 4, 4)))):
+        a = make_deformed(p)
+        assert polygon_closed_form(cycle(3), a).get((1, 0), TRIVIAL_GROUP) == h1
+        rep = check_polygon_hh(cycle(3), a)
         assert rep.passed, (p, rep.witness)
+    for p in ([0, 0, 1], [0, 0, 0, 1]):
+        rep = check_polygon_hh(cycle(3), make_deformed(p))
+        assert rep.passed, (p, rep.witness)
+
+
+def test_polygon_hh_cases():
+    # even and odd heights of longer polygons, windows, Z itself, a relabelled 5-gon
+    for n in (1, 2, 4, 5, 6):
+        for a in (make_truncated(3), make_deformed([-1, 0, 1]), make_poly_window(3),
+                  make_truncated(1), make_deformed([5, 1])):
+            rep = check_polygon_hh(cycle(n), a)
+            assert rep.passed, (n, a.spec, rep.witness)
+    relabelled = Graph(5, ((0, 3), (3, 1), (1, 4), (4, 2), (2, 0)))
+    for a in (A3, make_deformed([-1, 0, 0, 1])):
+        assert check_polygon_hh(relabelled, a).passed
+
+
+_Z = (0, 0, 0)
+XY = Algebra(  # Z[x, y]/(x, y)^2: rank 3 like Z[x]/(x^3), but x^2 = 0
+    3, (0, 1, 1),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), _Z, _Z), ((0, 0, 1), _Z, _Z)),
+    True, "xy",
+)
+
+
+@pytest.mark.parametrize(
+    "g, a",
+    [
+        (path(4), A2),
+        (complete(4), A2),
+        (complete(0), A2),
+        (complete(2), A2),
+        (Graph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3))), A2),
+        (polygon_with_diagonals(5, [(0, 2)]), A2),
+        (cycle(3), XY),
+    ],
+    ids=["path4", "k4", "k0", "k2", "two-triangles", "vgon5-chord", "not-a-quotient"],
+)
+def test_polygon_closed_form_refuses_inputs_outside_its_statement(g, a):
+    with pytest.raises(ValueError):
+        polygon_closed_form(g, a)
 
 
 def test_conjecture_fixtures():
     rep = check_conjecture_fixtures()
     assert rep.passed, rep.witness
-    assert "polygon H^1 conjecture" in rep.notes
 
 
 def test_vgon_diagonals():
