@@ -178,7 +178,6 @@ _GA = ("graph", "algebra")
 # name -> (the options the check reads that have no default, run)
 _SINGLE_CHECKS = {
     "vanishing": (_GA, lambda args, g, a: theorems.check_vanishing(g, a)),
-    "thickness": (_GA, lambda args, g, a: theorems.check_thickness(g, a)),
     "pendant": (_GA, lambda args, g, a: theorems.check_pendant(g, args.edge, a)),
     "exactness": (
         _GA, lambda args, g, a: theorems.check_del_contract_exactness(g, args.edge, a)
@@ -193,10 +192,8 @@ _SINGLE_CHECKS = {
 
 def cmd_verify(args) -> int:
     if args.suite:
-        if args.suite != "paper":
-            raise ValueError(f"unknown suite {args.suite!r}")
         reports = theorems.run_suite(seed=args.seed)
-    elif args.check:
+    else:
         if args.check not in _SINGLE_CHECKS:
             raise ValueError(
                 f"unknown check {args.check!r}; known: {sorted(_SINGLE_CHECKS)}"
@@ -208,8 +205,6 @@ def cmd_verify(args) -> int:
         g = parse_graph_spec(args.graph) if args.graph else None
         a = parse_algebra_spec(args.algebra) if args.algebra else None
         reports = [run(args, g, a)]
-    else:
-        raise ValueError("verify needs --suite or --check")
     hard_failures = 0
     for rep in reports:
         print(json.dumps(rep.to_json_dict()))
@@ -263,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     # optional here: only some single checks read them
     p.add_argument("--graph", help=graph_help)
     p.add_argument("--algebra", help=algebra_help)
-    p.add_argument("--suite", help="'paper' runs the whole fixture suite")
-    p.add_argument("--check", help="run one named check")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--suite", choices=("paper",), help="run the whole fixture suite")
+    mode.add_argument("--check", help="run one named check")
     p.add_argument("--edge", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)

@@ -204,20 +204,16 @@ def simplify(g: Graph) -> Graph:
 class CycleInfo:
     """Cycle structure of a graph after conceptual simplification.
 
-    ``has_loop`` reads the graph as given; the rest describe its simplified
-    loop-free graph: ``girth`` is its shortest cycle's length (None for a
-    forest), and the flags say whether it has an odd cycle (length >= 3) and
-    an even cycle (length >= 4).
+    ``has_loop`` reads the graph as given; the other flags describe its
+    simplified loop-free graph: whether it has a triangle, a square (a
+    4-cycle), an odd cycle (length >= 3) and an even cycle (length >= 4).
     """
 
     has_loop: bool
-    girth: int | None
+    has_triangle: bool
+    has_square: bool
     has_odd_cycle: bool
     has_even_cycle: bool
-
-    @property
-    def is_acyclic(self) -> bool:
-        return not self.has_loop and self.girth is None
 
 
 def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
@@ -229,36 +225,9 @@ def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def _girth_simple(g: Graph) -> int | None:
-    # BFS from every vertex; standard exact girth for simple graphs.
-    adj = _adjacency(g)
-    best: int | None = None
-    for s in range(g.vertex_count):
-        dist = {s: 0}
-        parent_edge = {s: -1}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w, k in adj[v]:
-                    if k == parent_edge[v]:
-                        continue
-                    if w in dist:
-                        cyc = dist[v] + dist[w] + 1
-                        if best is None or cyc < best:
-                            best = cyc
-                    else:
-                        dist[w] = dist[v] + 1
-                        parent_edge[w] = k
-                        nxt.append(w)
-            if best is not None and frontier and 2 * dist[frontier[0]] >= best:
-                break
-            frontier = nxt
-    return best
-
-
-def _cycle_parities(g: Graph) -> tuple[bool, bool]:
-    """(some odd cycle, some even cycle) of a simple loop-free graph.
+def _cycle_parities(g: Graph, adj: list[list[tuple[int, int]]]) -> tuple[bool, bool]:
+    """(some odd cycle, some even cycle) of a simple loop-free graph with
+    adjacency ``adj``.
 
     Each edge outside a spanning forest closes one fundamental cycle, and
     parity is additive over the cycle space they span.  An odd cycle exists
@@ -267,7 +236,6 @@ def _cycle_parities(g: Graph) -> tuple[bool, bool]:
     cycle, of length >= 4 since the graph is simple.  When no forest edge is
     shared, every cycle is a single fundamental cycle.
     """
-    adj = _adjacency(g)
     depth = [-1] * g.vertex_count
     parent = [-1] * g.vertex_count
     for s in range(g.vertex_count):
@@ -300,9 +268,21 @@ def _cycle_parities(g: Graph) -> tuple[bool, bool]:
 
 
 def shortest_cycle_parity(g: Graph) -> CycleInfo:
-    """Loop presence; girth and cycle parities of the simplified loop-free graph."""
+    """Loop presence, then the short cycles and cycle parities of the
+    simplified loop-free graph.
+
+    There, an edge closes a triangle iff its endpoints share a neighbour,
+    and two vertices lie opposite on a square iff they share two.
+    """
     simple = simplify(Graph(g.vertex_count, tuple(e for e in g.edges if e[0] != e[1])))
-    return CycleInfo(g.has_loop(), _girth_simple(simple), *_cycle_parities(simple))
+    adj = _adjacency(simple)
+    neigh = [{w for w, _ in ws} for ws in adj]
+    n = simple.vertex_count
+    has_triangle = any(neigh[u] & neigh[w] for u, w in simple.edges)
+    has_square = any(
+        len(neigh[u] & neigh[w]) >= 2 for u in range(n) for w in range(u + 1, n)
+    )
+    return CycleInfo(g.has_loop(), has_triangle, has_square, *_cycle_parities(simple, adj))
 
 
 # ---------------------------------------------------------------------------

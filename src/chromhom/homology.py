@@ -264,7 +264,11 @@ def _worker_count(jobs: int, slices: int) -> int:
     """Pool processes ``compute_all`` runs its slices on; 1 means in-process."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, slices, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call on this OS
+        cpus = os.cpu_count() or 1
+    return min(jobs, slices, cpus)
 
 
 def compute_all(

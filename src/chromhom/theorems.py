@@ -57,8 +57,8 @@ class CheckReport:
         }
 
 
-def _non_tree_counts(g: Graph) -> tuple[int, int]:
-    """(vertices, components) of the non-tree part of the graph."""
+def _component_counts(g: Graph) -> tuple[int, int, int]:
+    """(vertices, components) of the non-tree part of the graph, and all components."""
     part = components(g, (1 << g.edge_count) - 1)
     vs = [0] * part.component_count
     es = [0] * part.component_count
@@ -71,7 +71,7 @@ def _non_tree_counts(g: Graph) -> tuple[int, int]:
         if es[k] != vs[k] - 1:  # a component is a tree iff e = v - 1
             v1 += vs[k]
             mu1 += 1
-    return v1, mu1
+    return v1, mu1, part.component_count
 
 
 def _is_truncated_type(a: Algebra) -> bool:
@@ -80,61 +80,43 @@ def _is_truncated_type(a: Algebra) -> bool:
 
 
 def check_vanishing(g: Graph, a: Algebra, h: BigradedHomology | None = None) -> CheckReport:
-    """Support bound 0 <= i <= v1 - 2*mu1 (torsion from i >= 1), tree parts excluded."""
-    h = h if h is not None else compute_all(g, a)
-    v1, mu1 = _non_tree_counts(g)
-    bound = v1 - 2 * mu1
-    params = {"graph": g.to_json_dict(), "algebra": a.spec}
-    for (i, j), grp in h.items_sorted():
-        if not (0 <= i <= bound):
-            return CheckReport(
-                "vanishing", params, False, witness={"i": i, "j": j, "group": str(grp)}
-            )
-        if grp.torsion and not (1 <= i <= bound):
-            return CheckReport(
-                "vanishing", params, False,
-                witness={"i": i, "j": j, "torsion": grp.torsion},
-            )
-    return CheckReport("vanishing", params, True)
+    """Where H^{i,j}(G) over A may be nonzero, and where it may have torsion.
 
-
-def check_thickness(g: Graph, a: Algebra, h: BigradedHomology | None = None) -> CheckReport:
-    """Support and torsion constraints for Z[x]/(x^m) coefficients.
-
-    Support: 0 <= i <= v-2mu, i+j >= v-mu, (m-1)i + j <= (m-1)v.
-    Torsion additionally needs i >= 1 and i+j >= v-mu+1.
-    Requires a loop-free graph without isolated vertices.
+    Let v and mu count the vertices and components of G, and v1 and mu1
+    those of its components that are not trees.  Over every algebra,
+    H^{i,j} = 0 unless 0 <= i <= v1 - 2*mu1, and torsion needs i >= 1.
+    Over Z[x]/(x^m), window algebras included, also H^{i,j} = 0 unless
+    i + j >= v - mu and (m-1) i + j <= (m-1) v, and torsion needs
+    i + j >= v - mu + 1 (Helme-Guizon, Przytycki and Rong, *Torsion in
+    graph homology*).  No graph is excluded: a loop makes every group 0;
+    an isolated vertex tensors H with A, which adds one to v and to mu and
+    0..m-1 to j, so both diagonal bounds still hold; and the height bound
+    already leaves tree components out.  A failing report's witness names
+    the violated bound.
     """
-    if not _is_truncated_type(a):
-        raise ValueError("thickness bounds are stated for truncated algebras")
-    if g.has_loop():
-        raise ValueError("thickness bounds need a loop-free graph")
-    if any(g.degree(v) == 0 for v in range(g.vertex_count)):
-        raise ValueError("thickness bounds need no isolated vertices")
     h = h if h is not None else compute_all(g, a)
-    m = a.rank
-    v = g.vertex_count
-    mu = components(g, (1 << g.edge_count) - 1).component_count
+    v1, mu1, mu = _component_counts(g)
+    v, m = g.vertex_count, a.rank
+    diagonals = _is_truncated_type(a)
     params = {"graph": g.to_json_dict(), "algebra": a.spec}
     for (i, j), grp in h.items_sorted():
         bad = None
-        if not (0 <= i <= v - 2 * mu):
+        if not 0 <= i <= v1 - 2 * mu1:
             bad = "support height (1a)"
-        elif i + j < v - mu:
+        elif diagonals and i + j < v - mu:
             bad = "support diagonal (1b)"
-        elif (m - 1) * i + j > (m - 1) * v:
+        elif diagonals and (m - 1) * i + j > (m - 1) * v:
             bad = "support degree (1c)"
-        elif grp.torsion:
-            if i < 1:
-                bad = "torsion height (2a)"
-            elif i + j < v - mu + 1:
-                bad = "torsion diagonal (2b)"
+        elif grp.torsion and i < 1:
+            bad = "torsion height (2a)"
+        elif grp.torsion and diagonals and i + j < v - mu + 1:
+            bad = "torsion diagonal (2b)"
         if bad:
             return CheckReport(
-                "thickness", params, False,
+                "vanishing", params, False,
                 witness={"i": i, "j": j, "group": str(grp), "violated": bad},
             )
-    return CheckReport("thickness", params, True)
+    return CheckReport("vanishing", params, True)
 
 
 def tensor_with_complement(h: BigradedHomology, a: Algebra) -> dict:
@@ -297,7 +279,7 @@ def check_torsion_dichotomy(g: Graph, h: BigradedHomology | None = None) -> Chec
     a2 = make_truncated(2)
     h = h if h is not None else compute_all(g, a2)
     info = shortest_cycle_parity(g)
-    expected = (not info.has_loop) and info.girth is not None
+    expected = not info.has_loop and (info.has_odd_cycle or info.has_even_cycle)
     actual = any(grp.torsion for grp in h.groups.values())
     params = {"graph": g.to_json_dict()}
     if expected != actual:
@@ -504,19 +486,6 @@ def check_vgon_diagonals(g: Graph, a: Algebra) -> CheckReport:
 # soft checks: conjectures are reported, never failed on
 
 
-def _has_four_cycle(g: Graph) -> bool:
-    s = simplify(Graph(g.vertex_count, tuple(e for e in g.edges if e[0] != e[1])))
-    neigh = [set() for _ in range(s.vertex_count)]
-    for u, w in s.edges:
-        neigh[u].add(w)
-        neigh[w].add(u)
-    for u in range(s.vertex_count):
-        for w in range(u + 1, s.vertex_count):
-            if len(neigh[u] & neigh[w] - {u, w}) >= 2:
-                return True
-    return False
-
-
 def soft_triangle_square_torsion(graphs: list[Graph], m: int) -> CheckReport:
     """Conjecture: a triangle forces Z_m in H^{1,*}, a square in H^{2,*}."""
     a = make_truncated(m)
@@ -525,7 +494,8 @@ def soft_triangle_square_torsion(graphs: list[Graph], m: int) -> CheckReport:
         if g.has_loop():
             continue
         h = compute_all(g, a)
-        if shortest_cycle_parity(g).girth == 3:
+        info = shortest_cycle_parity(g)
+        if info.has_triangle:
             found = any(
                 grp.has_torsion_of_order_divisible_by(m)
                 for (i, _j), grp in h.groups.items()
@@ -533,7 +503,7 @@ def soft_triangle_square_torsion(graphs: list[Graph], m: int) -> CheckReport:
             )
             lines.append(f"triangle graph v={g.vertex_count} e={g.edge_count}: "
                          f"Z_{m} in H^1 {'found' if found else 'MISSING'}")
-        if _has_four_cycle(g):
+        if info.has_square:
             found = any(
                 grp.has_torsion_of_order_divisible_by(m)
                 for (i, _j), grp in h.groups.items()
@@ -544,40 +514,6 @@ def soft_triangle_square_torsion(graphs: list[Graph], m: int) -> CheckReport:
     return CheckReport(
         "soft-triangle-square-torsion", {"m": m}, True, soft=True,
         notes="; ".join(lines) or "no applicable fixtures",
-    )
-
-
-def square_ladder(k: int) -> Graph:
-    """Exploratory 2 x (k+1) grid fixture (k squares in a row).
-
-    The published square family is defined only pictorially; this stand-in
-    is recorded for exploration and never asserted against.
-    """
-    if k < 1:
-        raise ValueError("needs k >= 1")
-    top = list(range(k + 1))
-    bottom = list(range(k + 1, 2 * (k + 1)))
-    edges = []
-    for i in range(k):
-        edges.append((top[i], top[i + 1]))
-        edges.append((bottom[i], bottom[i + 1]))
-    for i in range(k + 1):
-        edges.append((top[i], bottom[i]))
-    return Graph(2 * (k + 1), tuple(edges))
-
-
-def soft_square_family(ks=(1, 2)) -> CheckReport:
-    a = make_truncated(3)
-    lines = []
-    for k in ks:
-        g = square_ladder(k)
-        h = compute_all(g, a)
-        height1 = {
-            j: str(grp) for (i, j), grp in sorted(h.groups.items()) if i == 1
-        }
-        lines.append(f"k={k}: H^1 = {height1}")
-    return CheckReport(
-        "soft-square-ladder-exploration", {}, True, soft=True, notes="; ".join(lines)
     )
 
 
@@ -638,10 +574,6 @@ def run_suite(seed: int = 0) -> list[CheckReport]:
                     witness=rep.residuals or None,
                 )
             )
-            if not g.has_loop() and all(
-                g.degree(v) > 0 for v in range(g.vertex_count)
-            ):
-                reports.append(_wrap(check_thickness, g, a, h))
             if g in polygons:
                 reports.append(_wrap(check_polygon_hh, g, a, h))
             if a is a2:
@@ -675,5 +607,4 @@ def run_suite(seed: int = 0) -> list[CheckReport]:
 
     reports.append(_wrap(soft_triangle_square_torsion,
                          [cycle(3), k4, square_diag, tri_tail, cycle(4)], 3))
-    reports.append(_wrap(soft_square_family))
     return reports

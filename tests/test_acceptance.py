@@ -27,14 +27,12 @@ from chromhom.theorems import (
     check_del_contract_exactness,
     check_pendant,
     check_polygon_hh,
-    check_thickness,
     check_torsion_dichotomy,
     check_vanishing,
     find_pendant_edges,
     random_multigraph,
     soft_triangle_square_torsion,
     _connected,
-    _is_truncated_type,
 )
 
 Z = AbelianGroup(1)
@@ -251,16 +249,7 @@ def test_criterion_08_structural_bounds_everywhere():
             bad.append(("vanishing", rep.to_json_dict()))
         if any(grp.torsion for (i, _j), grp in h.groups.items() if i == 0):
             bad.append(("H0-torsion", g.to_json_dict()))
-        if (
-            _is_truncated_type(a)
-            and a.window is None
-            and not g.has_loop()
-            and all(g.degree(v) > 0 for v in range(g.vertex_count))
-        ):
-            rep = check_thickness(g, a, h)
-            if not rep.passed:
-                bad.append(("thickness", rep.to_json_dict()))
-    report(8, f"vanishing/thickness bounds on {len(RESULTS)} computations", not bad, t0)
+    report(8, f"support bounds on {len(RESULTS)} computations", not bad, t0)
     assert not bad, bad[:3]
 
 

@@ -222,6 +222,8 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "known" in err
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
+    code, out, err = run_cli(capsys, "verify", "--suite", "paper", "--check", "vanishing")
+    assert code == 2 and not out and "not allowed" in err
     for jobs in ("0", "-1"):
         # refused before the memory guard could price zero processes
         code, _, err = run_cli(
@@ -245,7 +247,7 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and not out and "required" in err, argv
     for check in (
-        "vanishing", "thickness", "pendant", "exactness", "dichotomy", "vgon", "a2-chromatic",
+        "vanishing", "pendant", "exactness", "dichotomy", "vgon", "a2-chromatic",
         "polygon-hh",
     ):
         code, out, err = run_cli(capsys, "verify", "--check", check, "--algebra", "trunc:2")
@@ -275,7 +277,7 @@ def test_more_single_checks(capsys):
     for argv in (
         ["verify", "--check", "vanishing", "--graph", "gen:cycle:4",
          "--algebra", "trunc:2"],
-        ["verify", "--check", "thickness", "--graph", "gen:cycle:4",
+        ["verify", "--check", "vanishing", "--graph", "gen:cycle:4",
          "--algebra", "trunc:3"],
         ["verify", "--check", "polygon-hh", "--graph", "gen:cycle:5",
          "--algebra", "trunc:3"],
@@ -325,7 +327,7 @@ def test_memory_cap_prices_every_pool_process(capsys, monkeypatch):
 
     from chromhom.homology import estimate_peak_bytes
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     g, a = cycle(5), make_truncated(2)
     one, pool = estimate_peak_bytes(g, a), estimate_peak_bytes(g, a, jobs=2)
     assert pool > one
@@ -455,7 +457,7 @@ def test_verify_paper_suite_exit_zero(capsys):
     records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
     assert all(r["passed"] or r["soft"] for r in records)
     # the whole report stream, byte for byte: any change to a report shows
-    digest = "149b7f41c3351d13fac1a425edf0f3bea52b7a80a00e6cd5c35f0b82e6c3d4a8"
+    digest = "9ae023a71f9bffb15d638f4f659e5f3f540c3a6b98307fee5aa087b737a08e47"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -111,18 +112,15 @@ def test_simplify_preserves_components():
 
 
 def test_shortest_cycle_parity():
-    info = shortest_cycle_parity(cycle(5))
-    assert (info.girth, info.has_odd_cycle, info.has_even_cycle) == (5, True, False)
-    info = shortest_cycle_parity(complete(4))
-    assert (info.girth, info.has_odd_cycle, info.has_even_cycle) == (3, True, True)
+    # (has_loop, has_triangle, has_square, has_odd_cycle, has_even_cycle)
+    assert astuple(shortest_cycle_parity(cycle(5))) == (False, False, False, True, False)
+    assert astuple(shortest_cycle_parity(complete(4))) == (False, True, True, True, True)
     forest = Graph(4, ((0, 1), (1, 2)))
-    assert shortest_cycle_parity(forest).is_acyclic
-    assert shortest_cycle_parity(cycle(1)).has_loop
+    assert not any(astuple(shortest_cycle_parity(forest)))
+    assert astuple(shortest_cycle_parity(cycle(1))) == (True, False, False, False, False)
     # a double edge is not a cycle of length >= 3
-    assert shortest_cycle_parity(cycle(2)).girth is None
-    sq = cycle(4)
-    info = shortest_cycle_parity(sq)
-    assert (info.girth, info.has_odd_cycle, info.has_even_cycle) == (4, False, True)
+    assert not any(astuple(shortest_cycle_parity(cycle(2))))
+    assert astuple(shortest_cycle_parity(cycle(4))) == (False, False, True, False, True)
 
 
 def test_shortest_cycle_parity_matches_networkx_cycles():
@@ -142,12 +140,16 @@ def test_shortest_cycle_parity_matches_networkx_cycles():
         lengths = [len(c) for c in nx.simple_cycles(simple)]
         expected = (
             g.has_loop(),
-            min(lengths, default=None),
+            3 in lengths,
+            4 in lengths,
             any(n % 2 for n in lengths),
             any(n % 2 == 0 for n in lengths),
         )
         info = shortest_cycle_parity(g)
-        assert (info.has_loop, info.girth, info.has_odd_cycle, info.has_even_cycle) == expected, g
+        assert (
+            info.has_loop, info.has_triangle, info.has_square,
+            info.has_odd_cycle, info.has_even_cycle,
+        ) == expected, g
 
 
 def test_generators():

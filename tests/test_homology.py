@@ -197,9 +197,18 @@ def test_jobs_parallel_matches_serial(monkeypatch):
     # force the pool path even on single-core machines
     import chromhom.homology as hom
 
-    monkeypatch.setattr(hom.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(hom.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     g = complete(4)
     assert compute_all(g, A3, jobs=4).groups == compute_all(g, A3).groups
+
+
+def test_worker_count_reads_the_cpu_affinity(monkeypatch):
+    import chromhom.homology as hom
+
+    # pinned to one CPU of eight: a pool would only time-share it
+    monkeypatch.setattr(hom.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(hom.os, "cpu_count", lambda: 8)
+    assert hom._worker_count(2, 19) == 1
 
 
 def test_compiled_kernel_gives_the_pure_groups(compiled_snfcore, monkeypatch):

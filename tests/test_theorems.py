@@ -11,7 +11,7 @@ from chromhom.graph import (
     polygon_with_diagonals,
     wedge,
 )
-from chromhom.homology import TRIVIAL_GROUP, AbelianGroup, compute_all
+from chromhom.homology import TRIVIAL_GROUP, AbelianGroup, BigradedHomology, compute_all
 from chromhom.theorems import (
     a2_closed_form,
     check_a2_chromatic,
@@ -19,14 +19,12 @@ from chromhom.theorems import (
     check_del_contract_exactness,
     check_pendant,
     check_polygon_hh,
-    check_thickness,
     check_torsion_dichotomy,
     check_vanishing,
     check_vgon_diagonals,
     find_pendant_edges,
     polygon_closed_form,
     run_suite,
-    square_ladder,
     tensor_with_complement,
 )
 
@@ -50,24 +48,31 @@ def test_vanishing_examples():
 def test_thickness_a2_two_diagonals():
     # connected graphs over A_2 live on i+j in {v-1, v}; torsion on i+j = v
     for g in (cycle(4), cycle(5), complete(4), TRI_TAIL):
-        assert check_thickness(g, A2).passed
+        assert check_vanishing(g, A2).passed
         h = compute_all(g, A2)
         v = g.vertex_count
         for (i, j), grp in h.groups.items():
             assert i + j in (v - 1, v)
             if grp.torsion:
                 assert i + j == v
-    assert check_thickness(cycle(5), A3).passed
-    assert check_thickness(complete(4), A3).passed
+    assert check_vanishing(cycle(5), A3).passed
+    assert check_vanishing(complete(4), A3).passed
 
 
-def test_thickness_preconditions():
-    with pytest.raises(ValueError):
-        check_thickness(cycle(1), A2)  # loop
-    with pytest.raises(ValueError):
-        check_thickness(Graph(2, ()), A2)  # isolated vertices
-    with pytest.raises(ValueError):
-        check_thickness(cycle(3), make_deformed([-1, -1, 1]))
+def test_vanishing_needs_no_precondition():
+    assert check_vanishing(cycle(1), A2).passed  # loop
+    assert check_vanishing(Graph(2, ()), A2).passed  # isolated vertices
+    assert check_vanishing(cycle(3), make_deformed([-1, -1, 1])).passed
+
+
+def test_vanishing_names_the_violated_diagonal():
+    # v - mu = 2 for the triangle, so a group at (0, 0) lies below the diagonal
+    g = cycle(3)
+    h = compute_all(g, A2)
+    fake = BigradedHomology({**h.groups, (0, 0): AbelianGroup(1)}, A2.spec, g.to_json_dict())
+    rep = check_vanishing(g, A2, fake)
+    assert not rep.passed
+    assert rep.witness["violated"].startswith("support diagonal")
 
 
 def test_pendant_check():
@@ -284,11 +289,6 @@ def test_vgon_diagonals():
 def test_vgon_diagonals_refuses_graphs_outside_its_statement(g):
     with pytest.raises(ValueError):
         check_vgon_diagonals(g, A2)
-
-
-def test_square_ladder_shape():
-    g = square_ladder(2)
-    assert (g.vertex_count, g.edge_count) == (6, 7)
 
 
 def test_suite_runs_clean():
