@@ -20,6 +20,19 @@ The diagonal found this way is not yet a divisibility chain;
 ``divisibility_chain`` makes it one.  The compiled kernel in ``_snfcore``
 eliminates the +-1 pivots the same way but reduces what is left as a dense
 matrix; both return the same invariant factors.
+
+Cancelled rows.  The kernel also reports the rows it removed with a +-1
+pivot before it took its first least-|entry| pivot.  When the matrix is
+d^(i-1) of a cochain complex, those rows are cells of C^i that the next
+differential d^i may simply lose as columns (Bar-Natan, *Fast Khovanov
+homology computations*, JKTR 2007, Lemma 4.2: Gaussian elimination of a
+unit entry b -> c splits off a contractible summand).  Each row operation
+up to then has a +-1 pivot row c, so as a change of basis of C^i it
+changes only column c of d^i; once every such c is cleared, d^i o d^(i-1)
+= 0 makes those columns zero.  Dropping them (``drop``) therefore leaves
+the rank and invariant factors of d^i unchanged.  After a non-unit pivot,
+row operations change other columns too, so later +-1 pivots are not
+reported.
 """
 
 from __future__ import annotations
@@ -49,12 +62,15 @@ def divisibility_chain(diagonal) -> list[int]:
     return d
 
 
-def snf_invariant_factors(rows) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... (ascending) of a sparse matrix.
+def snf_invariant_factors(rows, drop=frozenset()) -> tuple[list[int], frozenset[int]]:
+    """Nonzero invariant factors d_1 | d_2 | ... (ascending) of a sparse matrix,
+    and the rows cancelled by +-1 pivots before any other pivot.
 
-    ``rows`` is ``IntMatrix.data``; the elimination runs on copies of them.
+    ``rows`` is ``IntMatrix.data``; the elimination runs on copies of them,
+    without the columns in ``drop``.
     """
-    rowdata = {r: dict(row) for r, row in enumerate(rows) if row}
+    kept = ({c: v for c, v in row.items() if c not in drop} for row in rows)
+    rowdata = {r: row for r, row in enumerate(kept) if row}
     colrows: dict[int, set[int]] = {}
     for r, row in rowdata.items():
         for c in row:
@@ -62,6 +78,8 @@ def snf_invariant_factors(rows) -> list[int]:
 
     units = 0
     diagonal: list[int] = []
+    cancelled: list[int] = []
+    only_units = True  # no least-|entry| pivot taken yet
     # Last row first: of the queue orders measured on cube differentials
     # (row order, assembly order, reversed), this one was fastest.
     queue = deque(reversed(rowdata))
@@ -84,6 +102,7 @@ def snf_invariant_factors(rows) -> list[int]:
                 continue
         else:
             # No +-1 entry is left: pivot on one of least absolute value.
+            only_units = False
             best = None
             for r, row in rowdata.items():
                 for c, v in row.items():
@@ -120,6 +139,8 @@ def snf_invariant_factors(rows) -> list[int]:
             continue  # a remainder smaller than p is left in column c0
         if p == 1 or p == -1:
             units += 1
+            if only_units:
+                cancelled.append(r0)
         else:
             for c, v in list(row0.items()):
                 if c != c0:
@@ -138,4 +159,4 @@ def snf_invariant_factors(rows) -> list[int]:
         for c in row0:
             colrows[c].discard(r0)
         del rowdata[r0]
-    return [1] * units + divisibility_chain(diagonal)
+    return [1] * units + divisibility_chain(diagonal), frozenset(cancelled)

@@ -178,9 +178,9 @@ _GA = ("graph", "algebra")
 # name -> (the options the check reads that have no default, run)
 _SINGLE_CHECKS = {
     "vanishing": (_GA, lambda args, g, a: theorems.check_vanishing(g, a)),
-    "pendant": (_GA, lambda args, g, a: theorems.check_pendant(g, args.edge, a)),
+    "pendant": (_GA, lambda args, g, a: theorems.check_pendant(g, args.edge or 0, a)),
     "exactness": (
-        _GA, lambda args, g, a: theorems.check_del_contract_exactness(g, args.edge, a)
+        _GA, lambda args, g, a: theorems.check_del_contract_exactness(g, args.edge or 0, a)
     ),
     "dichotomy": (("graph",), lambda args, g, a: theorems.check_torsion_dichotomy(g)),
     "a2-chromatic": (("graph",), lambda args, g, a: theorems.check_a2_chromatic(g)),
@@ -192,8 +192,13 @@ _SINGLE_CHECKS = {
 
 def cmd_verify(args) -> int:
     if args.suite:
-        reports = theorems.run_suite(seed=args.seed)
+        given = [f"--{o}" for o in ("graph", "algebra", "edge") if getattr(args, o) is not None]
+        if given:
+            raise ValueError(f"--suite runs fixed fixtures and takes no {', '.join(given)}")
+        reports = theorems.run_suite(seed=args.seed or 0)
     else:
+        if args.seed is not None:
+            raise ValueError("--seed applies to --suite only")
         if args.check not in _SINGLE_CHECKS:
             raise ValueError(
                 f"unknown check {args.check!r}; known: {sorted(_SINGLE_CHECKS)}"
@@ -261,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--suite", choices=("paper",), help="run the whole fixture suite")
     mode.add_argument("--check", help="run one named check")
-    p.add_argument("--edge", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--edge", type=int, default=None, help="edge index (default 0)")
+    p.add_argument("--seed", type=int, default=None, help="suite seed (default 0)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -8,14 +8,17 @@ or a memory estimate covers.  Each process builds one ``Cube`` for the
 (graph, algebra) pair and reads every slice from it.  Smith normal form runs
 on the compiled kernel when the extension is importable (falling back per
 matrix on int64 overflow), otherwise on the pure-Python reference kernel;
-both return the same invariant factors.
+both return the same invariant factors.  Within a degree slice the pure
+kernel reduces d^i without the cells of C^i that d^(i-1)'s leading +-1
+pivots cancelled (see ``SNFResult``); the compiled kernel reports no
+cancelled cells, so on that path every d^i is reduced whole.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _snfpure
 from .algebra import Algebra
@@ -45,9 +48,18 @@ def compiled_kernel_available() -> bool:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Nonzero invariant factors (ascending, each dividing the next)."""
+    """Nonzero invariant factors (ascending, each dividing the next).
+
+    ``cancelled`` holds the rows the pure kernel removed with a +-1 pivot
+    before its first non-unit pivot (empty from the compiled kernel).  For
+    d^(i-1) these are cells of C^i, each split off with a partner in C^(i-1)
+    as a contractible summand (Bar-Natan's Lemma 4.2, see ``_snfpure``), so
+    d^i has the same invariant factors without those columns.  Equality
+    compares the factors only.
+    """
 
     factors: tuple[int, ...]
+    cancelled: frozenset[int] = field(default=frozenset(), compare=False)
 
     @property
     def rank(self) -> int:
@@ -57,18 +69,22 @@ class SNFResult:
 _EMPTY_SNF = SNFResult(())
 
 
-def smith_normal_form(m: IntMatrix) -> SNFResult:
+def smith_normal_form(m: IntMatrix, drop=frozenset()) -> SNFResult:
+    """Invariant factors of ``m`` without its columns in ``drop``."""
     if m.is_zero():
         return _EMPTY_SNF
     if _KERNEL == "auto" and _snfcore is not None:
         # last row first, as the pure kernel queues them
         rows = reversed(range(m.rows))
-        trips = ((r, c, v) for r in rows for c, v in m.data[r].items())
+        trips = (
+            (r, c, v) for r in rows for c, v in m.data[r].items() if c not in drop
+        )
         try:
             return SNFResult(tuple(_snfcore.snf_invariant_factors(m.rows, m.cols, trips)))
         except OverflowError:
             pass  # redone below with arbitrary precision
-    return SNFResult(tuple(_snfpure.snf_invariant_factors(m.data)))
+    factors, cancelled = _snfpure.snf_invariant_factors(m.data, drop)
+    return SNFResult(tuple(factors), cancelled)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +240,9 @@ def _degree_slice_groups(
     """All nonzero H^{i,j} of the cube for one internal degree j.
 
     Each d^i is reduced as soon as it is built and then dropped, so at most
-    one matrix is live (two with ``verify_dd``, which checks d^i o d^(i-1)).
+    one matrix is live (two with ``verify_dd``, which checks the full
+    d^i o d^(i-1)).  The reduction skips the columns of d^i that d^(i-1)'s
+    unit pivots cancelled, which leaves its invariant factors unchanged.
     """
     groups: dict[tuple[int, int], AbelianGroup] = {}
     src = enumerate_basis(cube, 0, j)
@@ -238,7 +256,7 @@ def _degree_slice_groups(
             mat = differential(src, dst)
             if prev is not None and not mat.compose(prev).is_zero():
                 raise EngineError(f"d o d != 0 at (i, j) = ({i - 1}, {j})")
-            d_out = smith_normal_form(mat)
+            d_out = smith_normal_form(mat, d_in.cancelled)
         if len(src):
             grp = homology_group(len(src), d_in, d_out.rank)
             if i == 0 and grp.torsion:

@@ -4,13 +4,17 @@ These deliberately avoid the library's algorithms: determinants come from
 cofactor expansion and invariant factors from gcds of k x k minors, so they
 can arbitrate the Smith normal form implementations; the subset census walks
 all 2^n edge subsets and merges vertex labels, so it can arbitrate the
-library's deletion-contraction.
+library's deletion-contraction.  ``full_cube_groups`` shares the library's
+differentials and kernel but reduces every d^i whole, so it arbitrates the
+slice loop's dropping of cancelled cells.
 """
 
 from itertools import combinations
 from math import gcd
 
 from chromhom.chromatic import Poly
+from chromhom.complexes import Cube, differential, enumerate_basis
+from chromhom.homology import AbelianGroup, degree_range, smith_normal_form
 
 
 def det_cofactor(m: list[list[int]]) -> int:
@@ -74,3 +78,20 @@ def whitney_chromatic(g) -> Poly:
         for c, n in enumerate(row):
             out[c] = out.get(c, 0) + (-n if i & 1 else n)
     return Poly(out)
+
+
+def full_cube_groups(g, a) -> dict:
+    """Every nonzero H^{i,j}, from the Smith form of every full d^{i,j}."""
+    cube = Cube(g, a)
+    n = g.edge_count
+    groups = {}
+    for j in degree_range(g, a):
+        bases = [enumerate_basis(cube, i, j) for i in range(n + 2)]
+        snfs = [smith_normal_form(differential(bases[i], bases[i + 1])) for i in range(n + 1)]
+        for i in range(n + 1):
+            rank_in = snfs[i - 1].rank if i else 0
+            torsion = tuple(f for f in snfs[i - 1].factors if f > 1) if i else ()
+            grp = AbelianGroup(len(bases[i]) - snfs[i].rank - rank_in, torsion)
+            if not grp.is_trivial:
+                groups[(i, j)] = grp
+    return groups

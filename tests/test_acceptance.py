@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from oracles import minor_gcd_invariant_factors
+from oracles import full_cube_groups, minor_gcd_invariant_factors
 
 from chromhom import _snfpure
 from chromhom.algebra import make_deformed, make_poly_window, make_truncated
@@ -39,6 +39,8 @@ Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
 A2 = make_truncated(2)
 A3 = make_truncated(3)
+# x^3 - 1, x^2 - 2x - 3, (x - 1)^2, x^2 - x, x^2 - 2, low to high
+DEFORMED_P = ([-1, 0, 0, 1], [-3, -2, 1], [1, -2, 1], [0, -1, 1], [-2, 0, 1])
 
 # (graph, algebra, homology) triples accumulated by criteria 1-6 and re-used
 # by the piggybacking criteria 7 and 8.
@@ -189,6 +191,28 @@ def test_criterion_06_torsion_dichotomy_exhaustive():
     assert time.time() - t0 < 600
 
 
+def test_slice_loop_equals_the_full_cube_oracle():
+    # compute_all reduces d^i without the cells d^(i-1) cancelled; the oracle
+    # reduces every full d^i.  The groups must be identical.
+    graphs = [g for g in _atlas_connected_up_to_six() if g.vertex_count <= 5]
+    rng = random.Random(4321)
+    multigraphs = [random_multigraph(rng, max_vertices=5, max_edges=7) for _ in range(50)]
+    assert any(u == w for g in multigraphs for u, w in g.edges)
+    assert any(len(set(map(frozenset, g.edges))) < g.edge_count for g in multigraphs)
+    cases = [(g, a) for g in graphs + multigraphs for a in (A2, A3)]
+    cases += [
+        (g, a)
+        for g in (complete(4), cycle(5))
+        for a in [make_deformed(p) for p in DEFORMED_P] + [make_poly_window(3)]
+    ]
+    torsion = 0
+    for g, a in cases:
+        h = compute_all(g, a)
+        assert h.groups == full_cube_groups(g, a), (g, a.spec)
+        torsion += sum(1 for grp in h.groups.values() if grp.torsion)
+    assert torsion > 100
+
+
 @pytest.mark.skipif(
     not __import__("os").environ.get("CHROMHOM_SLOW"),
     reason="set CHROMHOM_SLOW=1 for the extended seven-vertex sweep",
@@ -335,7 +359,7 @@ def test_criterion_11b_snf_oracle_200_matrices():
         rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
         expected = minor_gcd_invariant_factors(dense)
         got = list(smith_normal_form(IntMatrix(nr, nc, rows)).factors)
-        pure = _snfpure.snf_invariant_factors(rows)
+        pure, _ = _snfpure.snf_invariant_factors(rows)
         if got != expected or pure != expected:
             bad += 1
     report(11, "SNF vs minor-gcd oracle on 200 random matrices", bad == 0, t0)

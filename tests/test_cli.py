@@ -224,6 +224,18 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "verify", "--suite", "paper", "--check", "vanishing")
     assert code == 2 and not out and "not allowed" in err
+    for extra in (
+        ["--graph", "gen:cycle:3"], ["--algebra", "frob:1"], ["--edge", "7"],
+        ["--graph", "gen:cycle:3", "--algebra", "frob:1", "--edge", "7"],
+    ):
+        # the suite runs fixed fixtures: an option it would ignore is refused
+        code, out, err = run_cli(capsys, "verify", "--suite", "paper", *extra)
+        assert code == 2 and not out and extra[0] in err, extra
+    code, out, err = run_cli(
+        capsys, "verify", "--check", "vanishing", "--graph", "gen:cycle:3",
+        "--algebra", "trunc:2", "--seed", "3",
+    )
+    assert code == 2 and not out and "--seed" in err
     for jobs in ("0", "-1"):
         # refused before the memory guard could price zero processes
         code, _, err = run_cli(

@@ -193,6 +193,56 @@ def test_verify_dd_names_the_broken_composite(monkeypatch, bad_i, named_i):
         compute_all(complete(4), A2, verify_dd=True)
 
 
+def test_verify_dd_sees_a_broken_column_that_the_reduction_drops(monkeypatch):
+    # d^1's unit pivots cancel cells of C^{1,2}, so the Smith reduction of d^2
+    # skips their columns; the d o d check must still see a wrong entry there.
+    import chromhom.homology as hom
+
+    monkeypatch.setattr(hom, "_KERNEL", "pure")
+    real_snf, real_diff = hom.smith_normal_form, hom.differential
+    last = []
+    broken = []
+
+    def snf(m, drop=frozenset()):
+        last.append(real_snf(m, drop))
+        return last[-1]
+
+    def flipped(src, dst):
+        m = real_diff(src, dst)
+        if (src.i, src.j) == (2, 2):
+            cancelled = last[-1].cancelled  # d^{1,2} was reduced just before
+            r, c = next((r, c) for r, row in enumerate(m.data) for c in row if c in cancelled)
+            m.data[r][c] = -m.data[r][c]
+            broken.append(c)
+        return m
+
+    monkeypatch.setattr(hom, "smith_normal_form", snf)
+    monkeypatch.setattr(hom, "differential", flipped)
+    with pytest.raises(EngineError, match=r"\(i, j\) = \(1, 2\)"):
+        compute_all(complete(4), A2, verify_dd=True)
+    assert broken
+
+
+def test_slice_loop_skips_the_cancelled_columns(monkeypatch):
+    # About half the columns of complete(5)/trunc:2 are cells that d^(i-1)
+    # cancelled; a slice loop that lost the drop would hand the kernel all.
+    import chromhom.homology as hom
+
+    monkeypatch.setattr(hom, "_KERNEL", "pure")
+    real = hom.smith_normal_form
+    handed = []
+    columns = []
+
+    def spy(m, drop=frozenset()):
+        handed.append(m.cols - len(drop))
+        columns.append(m.cols)
+        return real(m, drop)
+
+    monkeypatch.setattr(hom, "smith_normal_form", spy)
+    compute_all(complete(5), A2)
+    assert sum(handed) < 0.6 * sum(columns)
+
+
 def test_jobs_parallel_matches_serial(monkeypatch):
     # force the pool path even on single-core machines
     import chromhom.homology as hom
@@ -222,6 +272,10 @@ def test_compiled_kernel_gives_the_pure_groups(compiled_snfcore, monkeypatch):
         (Graph(3, ((0, 1), (0, 1), (1, 2), (2, 0), (2, 2))), A2),
         (complete(4), make_deformed([-1, 0, 0, 1])),
     ]
+
+    def no_fallback(rows, drop=frozenset()):
+        raise AssertionError("the pure kernel ran")
+
     monkeypatch.setattr(hom, "_KERNEL", "auto")
     for g, a in cases:
         monkeypatch.setattr(hom, "_snfcore", None)
@@ -229,7 +283,7 @@ def test_compiled_kernel_gives_the_pure_groups(compiled_snfcore, monkeypatch):
         monkeypatch.setattr(hom, "_snfcore", compiled_snfcore)
         with monkeypatch.context() as m:
             # no fallback: every matrix here fits the compiled kernel
-            m.setattr(hom, "_snfpure", types.SimpleNamespace(snf_invariant_factors=None))
+            m.setattr(hom, "_snfpure", types.SimpleNamespace(snf_invariant_factors=no_fallback))
             assert compute_all(g, a) == pure, (g, a.spec)
 
 

@@ -37,23 +37,35 @@ def random_dense(rng, nr, nc, lo=-9, hi=9, density=1.0):
 def test_diag_2_3():
     m = [[2, 0], [0, 3]]
     assert minor_gcd_invariant_factors(m) == [1, 6]
-    assert _snfpure.snf_invariant_factors(dense_to_rows(m)) == [1, 6]
+    assert _snfpure.snf_invariant_factors(dense_to_rows(m))[0] == [1, 6]
 
 
 def test_zero_matrix():
-    assert _snfpure.snf_invariant_factors([{}, {}, {}]) == []
+    assert _snfpure.snf_invariant_factors([{}, {}, {}]) == ([], frozenset())
     assert smith_normal_form(IntMatrix(3, 4, [{}, {}, {}])).rank == 0
 
 
 def test_identity():
     rows = [{i: 1} for i in range(5)]
-    assert _snfpure.snf_invariant_factors(rows) == [1] * 5
+    assert _snfpure.snf_invariant_factors(rows) == ([1] * 5, frozenset(range(5)))
+
+
+def test_cancelled_rows_are_the_leading_unit_pivots():
+    # An identity block is cancelled row by row.  Here the only pivot
+    # available first is the 2; the 1 it leaves behind comes after a
+    # non-unit pivot, so no row is reported.
+    assert _snfpure.snf_invariant_factors([{0: 1}, {1: -1}, {}]) == ([1, 1], {0, 1})
+    assert _snfpure.snf_invariant_factors([{0: 2, 1: 3}]) == ([1], frozenset())
+    # a dropped column is never read: here it would have been the unit pivot
+    assert _snfpure.snf_invariant_factors([{0: 2, 1: 1}], drop={1}) == ([2], frozenset())
+    res = smith_normal_form(IntMatrix(2, 3, [{0: 1, 2: 5}, {1: 1}]), frozenset({2}))
+    assert res == SNFResult((1, 1)) and res.cancelled == {0, 1}
 
 
 def test_divisibility_example():
     m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     expected = minor_gcd_invariant_factors(m)
-    assert _snfpure.snf_invariant_factors(dense_to_rows(m)) == expected
+    assert _snfpure.snf_invariant_factors(dense_to_rows(m))[0] == expected
 
 
 def test_pure_against_minor_gcd_oracle():
@@ -64,7 +76,7 @@ def test_pure_against_minor_gcd_oracle():
         m = random_dense(rng, nr, nc, density=rng.choice([0.4, 0.8, 1.0]))
         expected = minor_gcd_invariant_factors(m)
         rows = dense_to_rows(m)
-        got = _snfpure.snf_invariant_factors(rows)
+        got, _ = _snfpure.snf_invariant_factors(rows)
         assert got == expected, m
         assert rows == dense_to_rows(m), "the kernel must not change its input"
 
@@ -76,7 +88,7 @@ def test_compiled_against_pure(compiled_snfcore):
         nr = rng.randint(1, 14)
         nc = rng.randint(1, 14)
         m = random_dense(rng, nr, nc, density=rng.choice([0.2, 0.5, 1.0]))
-        expected = _snfpure.snf_invariant_factors(dense_to_rows(m))
+        expected, _ = _snfpure.snf_invariant_factors(dense_to_rows(m))
         try:
             got = compiled_snfcore.snf_invariant_factors(nr, nc, dense_to_triplets(m))
         except OverflowError:
@@ -113,7 +125,7 @@ def test_compiled_against_pure_on_sparse_matrices(compiled_snfcore, monkeypatch)
             }
             for _ in range(nr)
         ]
-        expected = _snfpure.snf_invariant_factors(rows)
+        expected, _ = _snfpure.snf_invariant_factors(rows)
         trips = [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
         try:
             got = compiled_snfcore.snf_invariant_factors(nr, nc, trips)
@@ -175,7 +187,7 @@ def test_pure_kernel_with_huge_entries():
             for _ in range(nr)
         ]
         expected = minor_gcd_invariant_factors(m)
-        got = _snfpure.snf_invariant_factors(dense_to_rows(m))
+        got, _ = _snfpure.snf_invariant_factors(dense_to_rows(m))
         assert got == expected
 
 
@@ -184,7 +196,7 @@ def test_snf_result_invariants():
     for _ in range(60):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = random_dense(rng, nr, nc)
-        factors = _snfpure.snf_invariant_factors(dense_to_rows(m))
+        factors, _ = _snfpure.snf_invariant_factors(dense_to_rows(m))
         assert all(f >= 1 for f in factors)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
