@@ -151,6 +151,8 @@ def cmd_bases(args) -> int:
         raise ValueError("--i and --j name one slice; give both or neither")
     g = parse_graph_spec(args.graph)
     a = parse_algebra_spec(args.algebra)
+    if args.i is not None and not 0 <= args.i <= g.edge_count:
+        raise ValueError(f"--i {args.i} is not a height of the graph, 0..{g.edge_count}")
     js = degree_range(g, a, None if args.j is None else [args.j])
     _check_memory(g, a, js, args.memory_cap)
     cube = Cube(g, a)
@@ -174,13 +176,14 @@ def _print_slices(cube: Cube, js) -> None:
 
 
 _GA = ("graph", "algebra")
+_GAE = _GA + ("edge",)
 
-# name -> (the options the check reads that have no default, run)
+# name -> (the options the check reads, run); --edge defaults to 0
 _SINGLE_CHECKS = {
     "vanishing": (_GA, lambda args, g, a: theorems.check_vanishing(g, a)),
-    "pendant": (_GA, lambda args, g, a: theorems.check_pendant(g, args.edge or 0, a)),
+    "pendant": (_GAE, lambda args, g, a: theorems.check_pendant(g, args.edge or 0, a)),
     "exactness": (
-        _GA, lambda args, g, a: theorems.check_del_contract_exactness(g, args.edge or 0, a)
+        _GAE, lambda args, g, a: theorems.check_del_contract_exactness(g, args.edge or 0, a)
     ),
     "dichotomy": (("graph",), lambda args, g, a: theorems.check_torsion_dichotomy(g)),
     "a2-chromatic": (("graph",), lambda args, g, a: theorems.check_a2_chromatic(g)),
@@ -191,25 +194,23 @@ _SINGLE_CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    """Run the suite or one check; an option the mode does not read is refused,
+    and so is a missing --graph or --algebra that it reads."""
     if args.suite:
-        given = [f"--{o}" for o in ("graph", "algebra", "edge") if getattr(args, o) is not None]
-        if given:
-            raise ValueError(f"--suite runs fixed fixtures and takes no {', '.join(given)}")
-        reports = theorems.run_suite(seed=args.seed or 0)
+        mode, reads = "--suite", ()
+    elif args.check in _SINGLE_CHECKS:
+        mode, (reads, run) = f"--check {args.check}", _SINGLE_CHECKS[args.check]
     else:
-        if args.seed is not None:
-            raise ValueError("--seed applies to --suite only")
-        if args.check not in _SINGLE_CHECKS:
-            raise ValueError(
-                f"unknown check {args.check!r}; known: {sorted(_SINGLE_CHECKS)}"
-            )
-        needs, run = _SINGLE_CHECKS[args.check]
-        for option in needs:
-            if getattr(args, option) is None:
-                raise ValueError(f"--check {args.check} needs --{option}")
-        g = parse_graph_spec(args.graph) if args.graph else None
-        a = parse_algebra_spec(args.algebra) if args.algebra else None
-        reports = [run(args, g, a)]
+        raise ValueError(f"unknown check {args.check!r}; known: {sorted(_SINGLE_CHECKS)}")
+    for option in _GAE:
+        given = getattr(args, option) is not None
+        if given and option not in reads:
+            raise ValueError(f"{mode} does not read --{option}")
+        if not given and option in reads and option != "edge":
+            raise ValueError(f"{mode} needs --{option}")
+    g = None if args.graph is None else parse_graph_spec(args.graph)
+    a = None if args.algebra is None else parse_algebra_spec(args.algebra)
+    reports = theorems.run_suite() if args.suite else [run(args, g, a)]
     hard_failures = 0
     for rep in reports:
         print(json.dumps(rep.to_json_dict()))
@@ -260,14 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bases)
 
     p = sub.add_parser("verify", help="run verification checks (JSON report stream)")
-    # optional here: only some single checks read them
+    # optional here: each mode reads only the options its check needs
     p.add_argument("--graph", help=graph_help)
     p.add_argument("--algebra", help=algebra_help)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--suite", choices=("paper",), help="run the whole fixture suite")
     mode.add_argument("--check", help="run one named check")
     p.add_argument("--edge", type=int, default=None, help="edge index (default 0)")
-    p.add_argument("--seed", type=int, default=None, help="suite seed (default 0)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -236,6 +236,23 @@ def test_usage_errors_exit_2(capsys):
         "--algebra", "trunc:2", "--seed", "3",
     )
     assert code == 2 and not out and "--seed" in err
+    cycle3 = ["--graph", "gen:cycle:3"]
+    for argv, option in (
+        # each mode refuses an option it does not read
+        (["--check", "vanishing", *cycle3, "--algebra", "trunc:2", "--edge", "7"], "--edge"),
+        (["--check", "a2-chromatic", *cycle3, "--algebra", "trunc:5"], "--algebra"),
+        (["--check", "dichotomy", *cycle3, "--algebra", "trunc:2"], "--algebra"),
+        (["--check", "fixtures", *cycle3], "--graph"),
+        (["--suite", "paper", "--seed", "1"], "--seed"),
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and not out and option in err, argv
+    for i in ("-1", "9"):
+        # the cycle has heights 0..3
+        code, out, err = run_cli(
+            capsys, "bases", *cycle3, "--algebra", "trunc:2", "--i", i, "--j", "0",
+        )
+        assert code == 2 and not out and "--i" in err, i
     for jobs in ("0", "-1"):
         # refused before the memory guard could price zero processes
         code, _, err = run_cli(

@@ -118,6 +118,49 @@ def test_exactness_on_multigraphs():
     assert check_del_contract_exactness(tri_parallel, 1, A3).passed
 
 
+def test_exactness_fails_on_a_sign_flip_in_either_chain_map_block(monkeypatch):
+    # One entry of d_G^{i,j} negated at a time.  A flip among the states
+    # without e breaks beta, one among the states with e breaks alpha, and
+    # one in the block that adds e, the connecting map, leaves the sequence
+    # exact.  e is already the last edge, so the check keeps this order.
+    import chromhom.theorems as theorems
+    from chromhom.complexes import Cube, differential, enumerate_basis
+
+    g, e = Graph(4, ((0, 1), (2, 3), (3, 0), (1, 2))), 3
+    cube = Cube(g, A2)
+    expected = {
+        (False, False): "beta is not a chain map",
+        (True, True): "alpha is not a chain map",
+        (True, False): None,
+    }
+
+    def with_e(basis):
+        return {run.offset + t for run in basis.runs if run.mask >> e & 1
+                for t in range(run.count)}
+
+    seen = set()
+    for i, j in ((1, 1), (2, 0)):
+        src, dst = enumerate_basis(cube, i, j), enumerate_basis(cube, i + 1, j)
+        rows, cols = with_e(dst), with_e(src)
+        for r, c, _ in differential(src, dst).triplets():
+
+            def mutated(s, d):
+                mat = differential(s, d)
+                if s.cube.g.edge_count == g.edge_count and (s.i, s.j) == (i, j):
+                    mat.data[r][c] = -mat.data[r][c]
+                return mat
+
+            monkeypatch.setattr(theorems, "differential", mutated)
+            rep = check_del_contract_exactness(g, e, A2)
+            block = (r in rows, c in cols)
+            seen.add(block)
+            if expected[block] is None:
+                assert rep.passed, (i, j, r, c)
+            else:
+                assert rep.witness == {"i": i, "j": j, "violated": expected[block]}, (r, c)
+    assert seen == set(expected)
+
+
 def test_k4_top_height_torsion():
     # the top-height group of the complete graph on 4 vertices at internal
     # degree m is finite with an element of order m (an extension of Z_m'
