@@ -61,6 +61,12 @@ class Algebra:
     def max_degree(self) -> int:
         return max(self.degrees)
 
+    @property
+    def connected(self) -> bool:
+        """Graded with the unit as the only degree-0 basis element, so a
+        product of non-units is never the unit: a connected graded algebra."""
+        return self.graded and 0 not in self.degrees[1:]
+
 
 def unit_vector(rank: int, k: int) -> tuple[int, ...]:
     return tuple(1 if m == k else 0 for m in range(rank))

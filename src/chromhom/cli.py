@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jrange", help="restrict internal degree, LO:HI")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, each assembling and reducing whole degree slices")
+                   help="worker processes, each assembling and reducing whole degree "
+                   "slices of the cube (the Morse path runs in one process)")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("chromatic", help="chromatic polynomial, coefficients low to high")

@@ -28,6 +28,10 @@ from .algebra import Algebra
 from .graph import ComponentPartition, Graph, components, subset_census
 
 
+class EngineError(RuntimeError):
+    """A structural invariant of the chain complex failed: engine bug."""
+
+
 class EnhancedState(NamedTuple):
     subset: int
     coloring: tuple[int, ...]

@@ -5,13 +5,16 @@ ascending invariant-factor chain of its torsion; ``poincare_series`` reads
 the free ranks off as a ``{(i, j): rank}`` dict.  ``degree_range`` is the
 one place that decides, and checks, which internal degrees j a computation
 or a memory estimate covers.  Each process builds one ``Cube`` for the
-(graph, algebra) pair and reads every slice from it.  Smith normal form runs
-on the compiled kernel when the extension is importable (falling back per
-matrix on int64 overflow), otherwise on the pure-Python reference kernel;
-both return the same invariant factors.  Within a degree slice the pure
-kernel reduces d^i without the cells of C^i that d^(i-1)'s leading +-1
-pivots cancelled (see ``SNFResult``); the compiled kernel reports no
-cancelled cells, so on that path every d^i is reduced whole.
+(graph, algebra) pair and reads every slice from it: the slices of the
+Morse-reduced complex (``morse_groups``, see ``chromhom.morse``) over a
+graded algebra whose unit is its only degree-0 element, and of the whole
+cube (``cube_groups``) over any other.  Both run one slice loop.  Smith
+normal form runs on the compiled kernel when the extension is importable
+(falling back per matrix on int64 overflow), otherwise on the pure-Python
+reference kernel; both return the same invariant factors.  Within a degree
+slice the pure kernel reduces d^i without the cells of C^i that d^(i-1)'s
+leading +-1 pivots cancelled (see ``SNFResult``); the compiled kernel
+reports no cancelled cells, so on that path every d^i is reduced whole.
 """
 
 from __future__ import annotations
@@ -22,17 +25,20 @@ from dataclasses import dataclass, field
 
 from . import _snfpure
 from .algebra import Algebra
-from .complexes import Cube, IntMatrix, differential, enumerate_basis, slice_dimension
+from .complexes import (
+    Cube,
+    EngineError,
+    IntMatrix,
+    differential,
+    enumerate_basis,
+    slice_dimension,
+)
 from .graph import Graph
 
 try:  # compiled kernel is optional
     from . import _snfcore
 except ImportError:  # pragma: no cover - depends on build environment
     _snfcore = None
-
-
-class EngineError(RuntimeError):
-    """A structural invariant of the chain complex failed: engine bug."""
 
 
 class WindowError(ValueError):
@@ -234,26 +240,28 @@ def degree_range(g: Graph, a: Algebra, j_range=None) -> list[int]:
     return js
 
 
-def _degree_slice_groups(
-    cube: Cube, j: int, verify_dd: bool
+def _slice_groups(
+    top: int, j: int, basis, matrix, verify_dd: bool
 ) -> dict[tuple[int, int], AbelianGroup]:
-    """All nonzero H^{i,j} of the cube for one internal degree j.
+    """All nonzero H^{i,j}, 0 <= i <= top, of one degree slice of a complex.
 
-    Each d^i is reduced as soon as it is built and then dropped, so at most
-    one matrix is live (two with ``verify_dd``, which checks the full
-    d^i o d^(i-1)).  The reduction skips the columns of d^i that d^(i-1)'s
-    unit pivots cancelled, which leaves its invariant factors unchanged.
+    ``basis(i)`` lists the cells of C^{i,j} and ``matrix(src, dst)`` builds
+    d^i between two of them.  Each d^i is reduced as soon as it is built and
+    then dropped, so at most one matrix is live (two with ``verify_dd``,
+    which checks the full d^i o d^(i-1)).  The reduction skips the columns
+    of d^i that d^(i-1)'s unit pivots cancelled, which leaves its invariant
+    factors unchanged.
     """
     groups: dict[tuple[int, int], AbelianGroup] = {}
-    src = enumerate_basis(cube, 0, j)
+    src = basis(0)
     d_in = _EMPTY_SNF
     prev: IntMatrix | None = None
-    for i in range(cube.g.edge_count + 1):
-        dst = enumerate_basis(cube, i + 1, j)
+    for i in range(top + 1):
+        dst = basis(i + 1)
         mat = None
         d_out = _EMPTY_SNF
         if len(src) and len(dst):
-            mat = differential(src, dst)
+            mat = matrix(src, dst)
             if prev is not None and not mat.compose(prev).is_zero():
                 raise EngineError(f"d o d != 0 at (i, j) = ({i - 1}, {j})")
             d_out = smith_normal_form(mat, d_in.cancelled)
@@ -268,13 +276,44 @@ def _degree_slice_groups(
     return groups
 
 
-def _degree_batch_groups(
-    g: Graph, a: Algebra, js, verify_dd: bool
+def _degree_slice_groups(
+    cube: Cube, j: int, verify_dd: bool
 ) -> dict[tuple[int, int], AbelianGroup]:
+    """All nonzero H^{i,j} of the cube for one internal degree j."""
+    return _slice_groups(
+        cube.g.edge_count, j, lambda i: enumerate_basis(cube, i, j), differential, verify_dd
+    )
+
+
+def cube_groups(
+    g: Graph, a: Algebra, js, verify_dd: bool = False
+) -> dict[tuple[int, int], AbelianGroup]:
+    """Every nonzero H^{i,j} with j in ``js``, from the full cube of states."""
     cube = Cube(g, a)
     groups: dict[tuple[int, int], AbelianGroup] = {}
     for j in js:
         groups.update(_degree_slice_groups(cube, j, verify_dd))
+    return groups
+
+
+def morse_groups(
+    g: Graph, a: Algebra, js, verify_dd: bool = False
+) -> dict[tuple[int, int], AbelianGroup]:
+    """Every nonzero H^{i,j} with j in ``js``, from the Morse-reduced complex.
+
+    Needs ``a.connected``; see ``chromhom.morse``.  With ``verify_dd`` the
+    check is d_M o d_M = 0.
+    """
+    from .morse import Matching  # on first use: cube-path runs never load it
+
+    if not a.connected:
+        raise ValueError(f"{a.spec} has a degree-0 non-unit or is ungraded: no Morse path")
+    match = Matching(Cube(g, a))
+    groups: dict[tuple[int, int], AbelianGroup] = {}
+    for j in js:
+        groups.update(_slice_groups(
+            g.edge_count, j, lambda i: match.critical(i, j), match.differential, verify_dd
+        ))
     return groups
 
 
@@ -299,26 +338,33 @@ def compute_all(
     """All cohomology groups H^{i,j}(G) over A, exactly.
 
     ``j_range`` restricts the internal degree; ``degree_range`` resolves and
-    checks it.  Degree slices are independent computations, so with
-    ``jobs`` > 1 they run on a process pool; results merge only at
-    aggregation.
+    checks it.  A connected graded algebra (``Algebra.connected``) is
+    reduced by ``morse_groups``, in this process: each pool worker would
+    repeat the match pass over all 2^n subsets and hold its own partitions,
+    which on a dense graph doubles the CPU time and memory without
+    shortening the wall.  Any other algebra is reduced by ``cube_groups``,
+    whose degree slices are independent computations: with ``jobs`` > 1
+    they run on a process pool, and results merge only at aggregation.
     """
     js = degree_range(g, a, j_range)
     workers = _worker_count(jobs, len(js))
-    if workers > 1:
-        groups: dict[tuple[int, int], AbelianGroup] = {}
+    groups: dict[tuple[int, int], AbelianGroup]
+    if a.connected:
+        groups = morse_groups(g, a, js, verify_dd)
+    elif workers > 1:
+        groups = {}
         # Deal degrees round-robin into one batch per worker so each process
         # amortizes its partitions and coloring counts over a batch.
         batches = [js[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_degree_batch_groups, g, a, batch, verify_dd)
+                pool.submit(cube_groups, g, a, batch, verify_dd)
                 for batch in batches
             ]
             for fut in futures:
                 groups.update(fut.result())
     else:
-        groups = _degree_batch_groups(g, a, js, verify_dd)
+        groups = cube_groups(g, a, js, verify_dd)
     return BigradedHomology(groups, a.spec, g.to_json_dict(), a.window)
 
 
@@ -351,11 +397,15 @@ def peak_bytes_floor(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> int:
 def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> int:
     """Estimate of peak memory above the imported engine, made before the computation.
 
-    A slice reduces each differential as soon as it is built, so one matrix
-    is live at a time.  The estimate prices (a) the cached partition of every
-    edge subset, (b) every state of the requested slices, for the cached
-    colorings and merge blocks, and (c) the largest differential:
-    its entries plus the Smith kernel's row and column maps after fill-in.
+    It prices the cube path, so it over-bounds the Morse path that
+    ``compute_all`` takes over every ``trunc:m`` and ``window:J``: 46 MiB
+    against a measured peak of about 13 MiB on complete(6) over trunc:2.
+    On the cube path a slice reduces each differential as soon as it is
+    built, so one matrix is live at a time.  The estimate prices (a) the
+    cached partition of every edge subset, (b) every state of the requested
+    slices, for the cached colorings and merge blocks, and (c) the largest
+    differential: its entries plus the Smith kernel's row and column maps
+    after fill-in.
     A differential's nonzeros are bounded by dim C^{i,j} times the n - i
     absent edges times the most terms any product of two basis elements
     has.  Dimensions come from one subset census: the estimate holds no

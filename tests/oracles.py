@@ -6,7 +6,10 @@ can arbitrate the Smith normal form implementations; the subset census walks
 all 2^n edge subsets and merges vertex labels, so it can arbitrate the
 library's deletion-contraction.  ``full_cube_groups`` shares the library's
 differentials and kernel but reduces every d^i whole, so it arbitrates the
-slice loop's dropping of cancelled cells.
+slice loop's dropping of cancelled cells.  ``gradient_pattern_cycle`` walks
+a digraph over unit patterns whose arrows over-approximate every gradient
+step of the Morse matching, so finding no cycle there backs the acyclicity
+proof in ``chromhom.morse`` without trusting its argument.
 """
 
 from itertools import combinations
@@ -15,6 +18,7 @@ from math import gcd
 from chromhom.chromatic import Poly
 from chromhom.complexes import Cube, differential, enumerate_basis
 from chromhom.homology import AbelianGroup, degree_range, smith_normal_form
+from chromhom.morse import Matching
 
 
 def det_cofactor(m: list[list[int]]) -> int:
@@ -95,3 +99,96 @@ def full_cube_groups(g, a) -> dict:
             if not grp.is_trivial:
                 groups[(i, j)] = grp
     return groups
+
+
+def gradient_pattern_cycle(g, a):
+    """A node on a cycle of the unit-pattern digraph of the matching, or None.
+
+    A node (s, z) stands for the cells of subset s whose unit slots are z;
+    the nodes are those matched up, the x of a gradient step x -> w' => x'.
+    For each edge e not in s, the arrows go from (s, z) to the down-partner
+    pattern of every pattern that d can reach at s + e, other than (s, z)
+    itself: a cycle-closing edge keeps z, and a merge of slots p1 < p2 drops
+    p2 and gives p1 each unit status that a product of two basis elements
+    with the statuses of p1 and p2 has a term of, read from ``a.mult``.
+    """
+    match = Matching(Cube(g, a))
+    parts, free, down = match.parts, match.free, match.down
+    merged: dict[tuple[bool, bool], set[bool]] = {}
+    for k in range(a.rank):
+        for l in range(a.rank):
+            for m, c in enumerate(a.mult[k][l]):
+                if c:
+                    merged.setdefault((k == 0, l == 0), set()).add(m == 0)
+
+    def drop(z, p):  # pattern z without slot p
+        return (z & ((1 << p) - 1)) | ((z >> (p + 1)) << p)
+
+    def insert(z, p, unit):  # pattern z with a slot at p
+        return (z & ((1 << p) - 1)) | (unit << p) | ((z >> p) << (p + 1))
+
+    def partner(t, z):  # the pattern (t, z) is matched down to, or None
+        for e, bits in down.get(t, ()):
+            if bits >> z & 1:
+                s = t ^ (1 << e)
+                ids = parts[s].component_id
+                u, w = g.edges[e]
+                return (s, z) if ids[u] == ids[w] else (s, insert(z, max(ids[u], ids[w]), 1))
+        return None
+
+    def arrows(node):
+        s, z = node
+        ids = parts[s].component_id
+        for e, (u, w) in enumerate(g.edges):
+            t = s | 1 << e
+            if t == s:
+                continue
+            p1, p2 = sorted((ids[u], ids[w]))
+            if p1 == p2:
+                targets = [z]
+            else:
+                rest = drop(z, p2) & ~(1 << p1)
+                key = (bool(z >> p1 & 1), bool(z >> p2 & 1))
+                targets = [rest | unit << p1 for unit in merged.get(key, ())]
+            for zt in targets:
+                if free[t] >> zt & 1:
+                    continue
+                nxt = partner(t, zt)
+                if nxt is not None and nxt != node:
+                    yield nxt
+
+    def matched_up(s, z):
+        return not free[s] >> z & 1 and partner(s, z) is None
+
+    nodes = (
+        (s, z)
+        for s, part in enumerate(parts)
+        for z in range(1 << part.component_count)
+        if matched_up(s, z)
+    )
+    return first_cycle_node(nodes, arrows)
+
+
+def first_cycle_node(nodes, arrows):
+    """A node on a cycle reachable from ``nodes`` along ``arrows(node)``, or
+    None; an iterative depth-first search, so deep digraphs are fine."""
+    done: set = set()
+    for start in nodes:
+        if start in done:
+            continue
+        on_path = {start}
+        stack = [(start, iter(arrows(start)))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if nxt in on_path:
+                    return nxt
+                if nxt not in done:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(arrows(nxt))))
+                    break
+            else:
+                on_path.discard(node)
+                done.add(node)
+                stack.pop()
+    return None

@@ -13,14 +13,27 @@ import time
 
 import pytest
 
-from oracles import full_cube_groups, minor_gcd_invariant_factors
+from oracles import (
+    first_cycle_node,
+    full_cube_groups,
+    gradient_pattern_cycle,
+    minor_gcd_invariant_factors,
+)
 
 from chromhom import _snfpure
 from chromhom.algebra import make_deformed, make_poly_window, make_truncated
-from chromhom.chromatic import Poly, euler_check
-from chromhom.complexes import IntMatrix
+from chromhom.chromatic import Poly, chromatic_polynomial, euler_check, qdim_poly
+from chromhom.complexes import Cube, IntMatrix
 from chromhom.graph import Graph, complete, cycle, delete_edge, polygon_with_diagonals, wedge
-from chromhom.homology import AbelianGroup, compute_all, poincare_series, smith_normal_form
+from chromhom.homology import (
+    AbelianGroup,
+    compute_all,
+    cube_groups,
+    degree_range,
+    poincare_series,
+    smith_normal_form,
+)
+from chromhom.morse import Matching
 from chromhom.theorems import (
     CheckReport,
     check_a2_chromatic,
@@ -192,14 +205,17 @@ def test_criterion_06_torsion_dichotomy_exhaustive():
 
 
 def test_slice_loop_equals_the_full_cube_oracle():
-    # compute_all reduces d^i without the cells d^(i-1) cancelled; the oracle
-    # reduces every full d^i.  The groups must be identical.
+    # compute_all reduces the Morse complex over a graded algebra, and over
+    # any other d^i without the cells d^(i-1) cancelled; the oracle reduces
+    # every full d^i of the cube.  The groups must be identical, and per j
+    # the alternating count of critical cells must equal [q^j] P_G(qdim A).
     graphs = [g for g in _atlas_connected_up_to_six() if g.vertex_count <= 5]
     rng = random.Random(4321)
     multigraphs = [random_multigraph(rng, max_vertices=5, max_edges=7) for _ in range(50)]
     assert any(u == w for g in multigraphs for u, w in g.edges)
     assert any(len(set(map(frozenset, g.edges))) < g.edge_count for g in multigraphs)
-    cases = [(g, a) for g in graphs + multigraphs for a in (A2, A3)]
+    graded = (A2, A3, make_truncated(1), make_poly_window(3))
+    cases = [(g, a) for g in graphs + multigraphs for a in graded]
     cases += [
         (g, a)
         for g in (complete(4), cycle(5))
@@ -210,7 +226,36 @@ def test_slice_loop_equals_the_full_cube_oracle():
         h = compute_all(g, a)
         assert h.groups == full_cube_groups(g, a), (g, a.spec)
         torsion += sum(1 for grp in h.groups.values() if grp.torsion)
+        if a.connected:
+            match = Matching(Cube(g, a))
+            chrom = chromatic_polynomial(g).compose(qdim_poly(a))
+            for j in degree_range(g, a):
+                cells = sum(
+                    (-1) ** i * len(match.critical(i, j)) for i in range(g.edge_count + 1)
+                )
+                assert cells == chrom.coeff(j), (g, a.spec, j)
     assert torsion > 100
+
+
+def test_gradient_patterns_are_acyclic():
+    # Evidence beside the proof in chromhom.morse: the digraph over unit
+    # patterns over-approximates every gradient step and has no cycle.  The
+    # x^3 - 1 graphs are the benchmark's; compute_all keeps them on the cube.
+    graphs = [g for g in _atlas_connected_up_to_six() if g.vertex_count <= 5]
+    cases = [(g, a) for g in graphs for a in (A2, A3)]
+    cubic = make_deformed([-1, 0, 0, 1])
+    cases += [
+        (g, cubic)
+        for g in (
+            polygon_with_diagonals(6, [(0, 2), (0, 3), (0, 4)]), complete(5), cycle(7)
+        )
+    ]
+    for g, a in cases:
+        assert gradient_pattern_cycle(g, a) is None, (g, a.spec)
+    # the search itself finds a cycle behind an acyclic prefix
+    steps = {0: [1], 1: [2, 3], 2: [], 3: [4], 4: [1]}
+    assert first_cycle_node([0], steps.get) in {1, 3, 4}
+    assert first_cycle_node([0, 2], {0: [2], 2: []}.get) is None
 
 
 @pytest.mark.skipif(
@@ -345,7 +390,9 @@ def test_criterion_11a_dd_zero_on_fixture_slices():
         + [(polygon_with_diagonals(4, [(0, 2)]), A3)]
     )
     for g, a in fixtures:
-        compute_all(g, a, verify_dd=True)  # raises EngineError on violation
+        # each raises EngineError on violation: d_M o d_M, then the cube's d o d
+        compute_all(g, a, verify_dd=True)
+        cube_groups(g, a, degree_range(g, a), verify_dd=True)
     report(11, "d o d = 0 on all fixture slices", True, t0)
 
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from chromhom.algebra import make_deformed, make_poly_window, make_truncated
-from chromhom.complexes import IntMatrix
+from chromhom.algebra import Algebra, make_deformed, make_poly_window, make_truncated
+from chromhom.complexes import Cube, IntMatrix
 from chromhom.graph import Graph, complete, cycle, path, wedge
 from chromhom.homology import (
     AbelianGroup,
@@ -15,11 +15,15 @@ from chromhom.homology import (
     WindowError,
     cokernel_oracle,
     compute_all,
+    cube_groups,
+    degree_range,
     group_from_cyclic,
     homology_group,
     invariant_factors_from_cyclic,
+    morse_groups,
     poincare_series,
 )
+from chromhom.morse import Matching, unit_pattern
 
 A2 = make_truncated(2)
 A3 = make_truncated(3)
@@ -189,8 +193,9 @@ def test_verify_dd_names_the_broken_composite(monkeypatch, bad_i, named_i):
         return m
 
     monkeypatch.setattr(hom, "differential", flipped)
+    g = complete(4)
     with pytest.raises(EngineError, match=rf"\(i, j\) = \({named_i}, 2\)"):
-        compute_all(complete(4), A2, verify_dd=True)
+        cube_groups(g, A2, degree_range(g, A2), verify_dd=True)
 
 
 def test_verify_dd_sees_a_broken_column_that_the_reduction_drops(monkeypatch):
@@ -218,8 +223,9 @@ def test_verify_dd_sees_a_broken_column_that_the_reduction_drops(monkeypatch):
 
     monkeypatch.setattr(hom, "smith_normal_form", snf)
     monkeypatch.setattr(hom, "differential", flipped)
+    g = complete(4)
     with pytest.raises(EngineError, match=r"\(i, j\) = \(1, 2\)"):
-        compute_all(complete(4), A2, verify_dd=True)
+        cube_groups(g, A2, degree_range(g, A2), verify_dd=True)
     assert broken
 
 
@@ -239,8 +245,63 @@ def test_slice_loop_skips_the_cancelled_columns(monkeypatch):
         return real(m, drop)
 
     monkeypatch.setattr(hom, "smith_normal_form", spy)
-    compute_all(complete(5), A2)
+    g = complete(5)
+    cube_groups(g, A2, degree_range(g, A2))
     assert sum(handed) < 0.6 * sum(columns)
+
+
+def test_morse_path_takes_connected_graded_algebras():
+    assert all(a.connected for a in (A2, A3, make_truncated(1), make_poly_window(3)))
+    assert make_deformed([0, 0, 1]).connected  # x^2 is graded
+    assert not make_deformed([-1, 0, 0, 1]).connected
+    assert not _idempotent_times_a2().connected  # e is a degree-0 non-unit
+    with pytest.raises(ValueError):
+        morse_groups(cycle(3), make_deformed([-1, 0, 0, 1]), [0])
+
+
+@pytest.mark.parametrize("bad_i", [0, 1])
+def test_verify_dd_names_the_broken_morse_slice(monkeypatch, bad_i):
+    # complete(4)/trunc:3 has nonzero d_M^{0,3} and d_M^{1,3}; one flipped
+    # entry in either breaks d_M^1 o d_M^0, which names (0, 3).  In d_M^1
+    # the entry sits in a column that d_M^0 maps onto.
+    real = Matching.differential
+    built = []
+
+    def flipped(self, src, dst):
+        m = real(self, src, dst)
+        (s, col) = src[0]
+        if (s.bit_count(), sum(col)) == (bad_i, 3):
+            onto = {k for k, row in enumerate(built[-1].data) if row} if bad_i else None
+            r, c = next(
+                (r, c) for r, row in enumerate(m.data) for c in row if onto is None or c in onto
+            )
+            m.data[r][c] = -m.data[r][c]
+        built.append(m)
+        return m
+
+    monkeypatch.setattr(Matching, "differential", flipped)
+    with pytest.raises(EngineError, match=r"\(i, j\) = \(0, 3\)"):
+        compute_all(complete(4), A3, verify_dd=True)
+
+
+def test_morse_walk_raises_at_a_gradient_cycle(monkeypatch):
+    # Point every cell of d(c0) down at c0: R of one such cell needs R of
+    # another, which needs the first, still in progress.
+    g = complete(4)
+    match = Matching(Cube(g, A3))
+    (c0,) = match.critical(0, 3)
+    image = dict(match.image(*c0))
+    assert sum(1 for t, col in image if not match.free[t] >> unit_pattern(col) & 1) >= 2
+    real = Matching.matched_down
+
+    def looped(self, t, col):
+        if (t, col) in image:
+            return c0, image[(t, col)]
+        return real(self, t, col)
+
+    monkeypatch.setattr(Matching, "matched_down", looped)
+    with pytest.raises(EngineError, match="gradient cycle"):
+        compute_all(g, A3, j_range=[3])
 
 
 def test_jobs_parallel_matches_serial(monkeypatch):
@@ -250,6 +311,20 @@ def test_jobs_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(hom.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     g = complete(4)
     assert compute_all(g, A3, jobs=4).groups == compute_all(g, A3).groups
+    # trunc:3 takes the Morse path in one process; the pool serves the cube
+    # path, which a graded algebra with a degree-0 non-unit takes
+    a = _idempotent_times_a2()
+    assert compute_all(g, a, jobs=4).groups == compute_all(g, a).groups
+
+
+def _idempotent_times_a2():
+    """Z[e]/(e^2 - e) tensor Z[x]/(x^2), basis e^a x^b at index a + 2b."""
+    def product(k, l):
+        a, b = max(k % 2, l % 2), k // 2 + l // 2
+        return tuple(int(b < 2 and m == a + 2 * b) for m in range(4))
+
+    mult = tuple(tuple(product(k, l) for l in range(4)) for k in range(4))
+    return Algebra(4, (0, 0, 1, 1), mult, True, "idempotent-x-trunc:2")
 
 
 def test_worker_count_reads_the_cpu_affinity(monkeypatch):
