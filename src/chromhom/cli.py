@@ -112,9 +112,9 @@ def _parse_jrange(text: str | None):
     return js
 
 
-def _check_memory(g, a, j_range, cap: int, jobs: int = 1):
-    floor = peak_bytes_floor(g, a, j_range, jobs)  # refuse before the census if it can
-    estimate = floor if floor > cap else estimate_peak_bytes(g, a, j_range, jobs)
+def _check_memory(g, a, j_range, cap: int):
+    floor = peak_bytes_floor(g, a, j_range)  # refuse before the census if it can
+    estimate = floor if floor > cap else estimate_peak_bytes(g, a, j_range)
     if estimate > cap:
         raise MemoryCapExceeded(
             f"estimated peak of at least {estimate} bytes exceeds cap {cap}; "
@@ -126,8 +126,8 @@ def cmd_compute(args) -> int:
     g = parse_graph_spec(args.graph)
     a = parse_algebra_spec(args.algebra)
     j_range = _parse_jrange(args.jrange)
-    _check_memory(g, a, j_range, args.memory_cap, args.jobs)
-    h = compute_all(g, a, j_range=j_range, jobs=args.jobs)
+    _check_memory(g, a, j_range, args.memory_cap)
+    h = compute_all(g, a, j_range=j_range)
     if args.format == "json":
         print(json.dumps(h.to_json_dict()))
     else:
@@ -246,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, memory_cap=True)
     p.add_argument("--jrange", help="restrict internal degree, LO:HI")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, each assembling and reducing whole degree "
-                   "slices of the cube (the Morse path runs in one process)")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("chromatic", help="chromatic polynomial, coefficients low to high")

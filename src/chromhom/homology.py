@@ -4,23 +4,23 @@ H^{i,j} = ker d^{i,j} / im d^{i-1,j} is reported as a free rank plus the
 ascending invariant-factor chain of its torsion; ``poincare_series`` reads
 the free ranks off as a ``{(i, j): rank}`` dict.  ``degree_range`` is the
 one place that decides, and checks, which internal degrees j a computation
-or a memory estimate covers.  Each process builds one ``Cube`` for the
-(graph, algebra) pair and reads every slice from it: the slices of the
-Morse-reduced complex (``morse_groups``, see ``chromhom.morse``) over a
-graded algebra whose unit is its only degree-0 element, and of the whole
-cube (``cube_groups``) over any other.  Both run one slice loop.  Smith
-normal form runs on the compiled kernel when the extension is importable
-(falling back per matrix on int64 overflow), otherwise on the pure-Python
-reference kernel; both return the same invariant factors.  Within a degree
-slice the pure kernel reduces d^i without the cells of C^i that d^(i-1)'s
-leading +-1 pivots cancelled (see ``SNFResult``); the compiled kernel
-reports no cancelled cells, so on that path every d^i is reduced whole.
+or a memory estimate covers.  A computation runs in the calling process and
+builds one ``Cube`` for the (graph, algebra) pair, reading every slice from
+it: the slices of the Morse-reduced complex (``morse_groups``, see
+``chromhom.morse``) over a graded algebra whose unit is its only degree-0
+element, and of the whole cube (``cube_groups``) over any other.  Both run
+one slice loop, degree after degree.  Smith normal form runs on the compiled
+kernel when the extension is importable (falling back per matrix on int64
+overflow), otherwise on the pure-Python reference kernel; both return the
+same invariant factors.  Within a degree slice the pure kernel reduces d^i
+without the cells of C^i that d^(i-1)'s leading +-1 pivots cancelled (see
+``SNFResult``); the compiled kernel reports no cancelled cells, so on that
+path every d^i is reduced whole.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import _snfpure
@@ -288,7 +288,11 @@ def _degree_slice_groups(
 def cube_groups(
     g: Graph, a: Algebra, js, verify_dd: bool = False
 ) -> dict[tuple[int, int], AbelianGroup]:
-    """Every nonzero H^{i,j} with j in ``js``, from the full cube of states."""
+    """Every nonzero H^{i,j} with j in ``js``, from the full cube of states.
+
+    The degrees are reduced one after another on one cube, whose partitions
+    and coloring counts every slice shares.
+    """
     cube = Cube(g, a)
     groups: dict[tuple[int, int], AbelianGroup] = {}
     for j in js:
@@ -317,17 +321,6 @@ def morse_groups(
     return groups
 
 
-def _worker_count(jobs: int, slices: int) -> int:
-    """Pool processes ``compute_all`` runs its slices on; 1 means in-process."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        cpus = len(os.sched_getaffinity(0))
-    else:  # no affinity call on this OS
-        cpus = os.cpu_count() or 1
-    return min(jobs, slices, cpus)
-
-
 def compute_all(
     g: Graph,
     a: Algebra,
@@ -335,36 +328,19 @@ def compute_all(
     jobs: int = 1,
     verify_dd: bool = False,
 ) -> BigradedHomology:
-    """All cohomology groups H^{i,j}(G) over A, exactly.
+    """All cohomology groups H^{i,j}(G) over A, exactly, in the calling process.
 
     ``j_range`` restricts the internal degree; ``degree_range`` resolves and
     checks it.  A connected graded algebra (``Algebra.connected``) is
-    reduced by ``morse_groups``, in this process: each pool worker would
-    repeat the match pass over all 2^n subsets and hold its own partitions,
-    which on a dense graph doubles the CPU time and memory without
-    shortening the wall.  Any other algebra is reduced by ``cube_groups``,
-    whose degree slices are independent computations: with ``jobs`` > 1
-    they run on a process pool, and results merge only at aggregation.
+    reduced by ``morse_groups``, any other by ``cube_groups``.  ``jobs``
+    must be at least 1 and changes nothing: every path runs in this
+    process.  It is kept only for callers that still pass it.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     js = degree_range(g, a, j_range)
-    workers = _worker_count(jobs, len(js))
-    groups: dict[tuple[int, int], AbelianGroup]
-    if a.connected:
-        groups = morse_groups(g, a, js, verify_dd)
-    elif workers > 1:
-        groups = {}
-        # Deal degrees round-robin into one batch per worker so each process
-        # amortizes its partitions and coloring counts over a batch.
-        batches = [js[k::workers] for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(cube_groups, g, a, batch, verify_dd)
-                for batch in batches
-            ]
-            for fut in futures:
-                groups.update(fut.result())
-    else:
-        groups = cube_groups(g, a, js, verify_dd)
+    reduce = morse_groups if a.connected else cube_groups
+    groups = reduce(g, a, js, verify_dd)
     return BigradedHomology(groups, a.spec, g.to_json_dict(), a.window)
 
 
@@ -387,14 +363,14 @@ _GRADED_FILL = 1.25
 _UNGRADED_FILL = 4
 
 
-def peak_bytes_floor(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> int:
+def peak_bytes_floor(g: Graph, a: Algebra, j_range=None) -> int:
     """The partition term of ``estimate_peak_bytes``: a lower bound on it that,
     unlike the census (exponential on wide or dense graphs), counts nothing."""
-    js = degree_range(g, a, j_range)
-    return _worker_count(jobs, len(js)) * (1 << g.edge_count) * _SUBSET_BYTES
+    degree_range(g, a, j_range)  # refuses what compute_all refuses
+    return (1 << g.edge_count) * _SUBSET_BYTES
 
 
-def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> int:
+def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None) -> int:
     """Estimate of peak memory above the imported engine, made before the computation.
 
     It prices the cube path, so it over-bounds the Morse path that
@@ -411,14 +387,10 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
     has.  Dimensions come from one subset census: the estimate holds no
     per-subset data.  ``degree_range`` refuses the degrees ``compute_all``
     refuses.
-
-    When ``compute_all(..., jobs=jobs)`` would run a pool, every worker is
-    priced as a whole computation.
     """
     cube = Cube(g, a)
     n = g.edge_count
     js = degree_range(g, a, j_range)
-    workers = _worker_count(jobs, len(js))
     terms = max(sum(1 for c in vec if c) for products in a.mult for vec in products)
     states = 0
     nnz = 0
@@ -429,8 +401,7 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None, jobs: int = 1) -> in
             nnz = max(nnz, dim * (n - i) * terms)
     fill = _GRADED_FILL if a.graded else _UNGRADED_FILL
     per_entry = _MATRIX_ENTRY_BYTES + _KERNEL_ENTRY_BYTES * fill
-    rest = states * _STATE_BYTES + int(nnz * per_entry)
-    return peak_bytes_floor(g, a, js, jobs) + workers * rest
+    return peak_bytes_floor(g, a, js) + states * _STATE_BYTES + int(nnz * per_entry)
 
 
 # ---------------------------------------------------------------------------

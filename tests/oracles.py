@@ -10,15 +10,29 @@ slice loop's dropping of cancelled cells.  ``gradient_pattern_cycle`` walks
 a digraph over unit patterns whose arrows over-approximate every gradient
 step of the Morse matching, so finding no cycle there backs the acyclicity
 proof in ``chromhom.morse`` without trusting its argument.
+``idempotent_times_a2`` is not an oracle but an input: a graded algebra with
+a degree-0 non-unit, the only one the tests have that keeps ``compute_all``
+on the cube with several degree slices.
 """
 
 from itertools import combinations
 from math import gcd
 
+from chromhom.algebra import Algebra
 from chromhom.chromatic import Poly
 from chromhom.complexes import Cube, differential, enumerate_basis
 from chromhom.homology import AbelianGroup, degree_range, smith_normal_form
 from chromhom.morse import Matching
+
+
+def idempotent_times_a2() -> Algebra:
+    """Z[e]/(e^2 - e) tensor Z[x]/(x^2), basis e^a x^b at index a + 2b."""
+    def product(k, l):
+        a, b = max(k % 2, l % 2), k // 2 + l // 2
+        return tuple(int(b < 2 and m == a + 2 * b) for m in range(4))
+
+    mult = tuple(tuple(product(k, l) for l in range(4)) for k in range(4))
+    return Algebra(4, (0, 0, 1, 1), mult, True, "idempotent-x-trunc:2")
 
 
 def det_cofactor(m: list[list[int]]) -> int:

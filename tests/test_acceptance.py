@@ -17,6 +17,7 @@ from oracles import (
     first_cycle_node,
     full_cube_groups,
     gradient_pattern_cycle,
+    idempotent_times_a2,
     minor_gcd_invariant_factors,
 )
 
@@ -216,10 +217,13 @@ def test_slice_loop_equals_the_full_cube_oracle():
     assert any(len(set(map(frozenset, g.edges))) < g.edge_count for g in multigraphs)
     graded = (A2, A3, make_truncated(1), make_poly_window(3))
     cases = [(g, a) for g in graphs + multigraphs for a in graded]
+    # idempotent_times_a2 is graded with a degree-0 non-unit: the only input
+    # whose several degree slices compute_all reduces on the cube
     cases += [
         (g, a)
         for g in (complete(4), cycle(5))
-        for a in [make_deformed(p) for p in DEFORMED_P] + [make_poly_window(3)]
+        for a in [make_deformed(p) for p in DEFORMED_P]
+        + [make_poly_window(3), idempotent_times_a2()]
     ]
     torsion = 0
     for g, a in cases:

@@ -253,13 +253,6 @@ def test_usage_errors_exit_2(capsys):
             capsys, "bases", *cycle3, "--algebra", "trunc:2", "--i", i, "--j", "0",
         )
         assert code == 2 and not out and "--i" in err, i
-    for jobs in ("0", "-1"):
-        # refused before the memory guard could price zero processes
-        code, _, err = run_cli(
-            capsys, "compute", "--graph", "gen:complete:5", "--algebra", "trunc:2",
-            "--memory-cap", "1000", "--jobs", jobs,
-        )
-        assert code == 2 and "jobs" in err
     for flag in ("--i", "--j"):
         # one coordinate of a slice is not a slice
         code, out, err = run_cli(
@@ -295,9 +288,8 @@ def test_usage_errors_exit_2(capsys):
     from chromhom.graph import Graph
     from chromhom.homology import estimate_peak_bytes
 
-    for call in (compute_all, estimate_peak_bytes):
-        with pytest.raises(ValueError):
-            call(cycle(3), make_truncated(2), jobs=0)
+    with pytest.raises(ValueError):
+        compute_all(cycle(3), make_truncated(2), jobs=0)
     with pytest.raises(ValueError):
         estimate_peak_bytes(Graph(2, ((0, 1),) * 64), make_truncated(2))
 
@@ -349,21 +341,6 @@ def test_memory_cap_exit_3(capsys):
         "--memory-cap", "1000",
     )
     assert code == 3 and "cap" in err
-
-
-def test_memory_cap_prices_every_pool_process(capsys, monkeypatch):
-    import os
-
-    from chromhom.homology import estimate_peak_bytes
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    g, a = cycle(5), make_truncated(2)
-    one, pool = estimate_peak_bytes(g, a), estimate_peak_bytes(g, a, jobs=2)
-    assert pool > one
-    args = ["compute", "--graph", "gen:cycle:5", "--algebra", "trunc:2",
-            "--memory-cap", str((one + pool) // 2)]
-    assert run_cli(capsys, *args, "--jobs", "2")[0] == 3
-    assert run_cli(capsys, *args, "--jobs", "1")[0] == 0
 
 
 def test_memory_estimate_refuses_what_compute_all_refuses(capsys, monkeypatch):
@@ -499,6 +476,22 @@ def test_module_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "0 2 -3 1"
+
+
+def test_package_import_loads_no_process_pool():
+    # a computation runs in one process; a future pool must import its
+    # executor where it starts one, not with the package
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, chromhom; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_hard_failure_exit_1(capsys, monkeypatch):

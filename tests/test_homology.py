@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from chromhom.algebra import Algebra, make_deformed, make_poly_window, make_truncated
+from oracles import idempotent_times_a2
+
+from chromhom.algebra import make_deformed, make_poly_window, make_truncated
 from chromhom.complexes import Cube, IntMatrix
 from chromhom.graph import Graph, complete, cycle, path, wedge
 from chromhom.homology import (
@@ -254,7 +256,7 @@ def test_morse_path_takes_connected_graded_algebras():
     assert all(a.connected for a in (A2, A3, make_truncated(1), make_poly_window(3)))
     assert make_deformed([0, 0, 1]).connected  # x^2 is graded
     assert not make_deformed([-1, 0, 0, 1]).connected
-    assert not _idempotent_times_a2().connected  # e is a degree-0 non-unit
+    assert not idempotent_times_a2().connected  # e is a degree-0 non-unit
     with pytest.raises(ValueError):
         morse_groups(cycle(3), make_deformed([-1, 0, 0, 1]), [0])
 
@@ -302,38 +304,6 @@ def test_morse_walk_raises_at_a_gradient_cycle(monkeypatch):
     monkeypatch.setattr(Matching, "matched_down", looped)
     with pytest.raises(EngineError, match="gradient cycle"):
         compute_all(g, A3, j_range=[3])
-
-
-def test_jobs_parallel_matches_serial(monkeypatch):
-    # force the pool path even on single-core machines
-    import chromhom.homology as hom
-
-    monkeypatch.setattr(hom.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    g = complete(4)
-    assert compute_all(g, A3, jobs=4).groups == compute_all(g, A3).groups
-    # trunc:3 takes the Morse path in one process; the pool serves the cube
-    # path, which a graded algebra with a degree-0 non-unit takes
-    a = _idempotent_times_a2()
-    assert compute_all(g, a, jobs=4).groups == compute_all(g, a).groups
-
-
-def _idempotent_times_a2():
-    """Z[e]/(e^2 - e) tensor Z[x]/(x^2), basis e^a x^b at index a + 2b."""
-    def product(k, l):
-        a, b = max(k % 2, l % 2), k // 2 + l // 2
-        return tuple(int(b < 2 and m == a + 2 * b) for m in range(4))
-
-    mult = tuple(tuple(product(k, l) for l in range(4)) for k in range(4))
-    return Algebra(4, (0, 0, 1, 1), mult, True, "idempotent-x-trunc:2")
-
-
-def test_worker_count_reads_the_cpu_affinity(monkeypatch):
-    import chromhom.homology as hom
-
-    # pinned to one CPU of eight: a pool would only time-share it
-    monkeypatch.setattr(hom.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(hom.os, "cpu_count", lambda: 8)
-    assert hom._worker_count(2, 19) == 1
 
 
 def test_compiled_kernel_gives_the_pure_groups(compiled_snfcore, monkeypatch):
