@@ -305,13 +305,11 @@ def morse_groups(
 ) -> dict[tuple[int, int], AbelianGroup]:
     """Every nonzero H^{i,j} with j in ``js``, from the Morse-reduced complex.
 
-    Needs ``a.connected``; see ``chromhom.morse``.  With ``verify_dd`` the
-    check is d_M o d_M = 0.
+    Takes any algebra; see ``chromhom.morse``.  With ``verify_dd`` the check
+    is d_M o d_M = 0.
     """
     from .morse import Matching  # on first use: cube-path runs never load it
 
-    if not a.connected:
-        raise ValueError(f"{a.spec} has a degree-0 non-unit or is ungraded: no Morse path")
     match = Matching(Cube(g, a))
     groups: dict[tuple[int, int], AbelianGroup] = {}
     for j in js:

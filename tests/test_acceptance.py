@@ -24,17 +24,18 @@ from oracles import (
 from chromhom import _snfpure
 from chromhom.algebra import make_deformed, make_poly_window, make_truncated
 from chromhom.chromatic import Poly, chromatic_polynomial, euler_check, qdim_poly
-from chromhom.complexes import Cube, IntMatrix
+from chromhom.complexes import Cube, IntMatrix, enumerate_basis
 from chromhom.graph import Graph, complete, cycle, delete_edge, polygon_with_diagonals, wedge
 from chromhom.homology import (
     AbelianGroup,
     compute_all,
     cube_groups,
     degree_range,
+    morse_groups,
     poincare_series,
     smith_normal_form,
 )
-from chromhom.morse import Matching
+from chromhom.morse import Matching, unit_pattern
 from chromhom.theorems import (
     CheckReport,
     check_a2_chromatic,
@@ -44,6 +45,7 @@ from chromhom.theorems import (
     check_torsion_dichotomy,
     check_vanishing,
     find_pendant_edges,
+    polygon_closed_form,
     random_multigraph,
     soft_triangle_square_torsion,
     _connected,
@@ -55,6 +57,9 @@ A2 = make_truncated(2)
 A3 = make_truncated(3)
 # x^3 - 1, x^2 - 2x - 3, (x - 1)^2, x^2 - x, x^2 - 2, low to high
 DEFORMED_P = ([-1, 0, 0, 1], [-3, -2, 1], [1, -2, 1], [0, -1, 1], [-2, 0, 1])
+# trunc:2, the first four of DEFORMED_P and a graded algebra with a degree-0
+# non-unit: the acyclicity proof in chromhom.morse covers them all
+_PROOF_ALGEBRAS = (A2, *(make_deformed(p) for p in DEFORMED_P[:4]), idempotent_times_a2())
 
 # (graph, algebra, homology) triples accumulated by criteria 1-6 and re-used
 # by the piggybacking criteria 7 and 8.
@@ -228,7 +233,10 @@ def test_slice_loop_equals_the_full_cube_oracle():
     torsion = 0
     for g, a in cases:
         h = compute_all(g, a)
-        assert h.groups == full_cube_groups(g, a), (g, a.spec)
+        oracle = full_cube_groups(g, a)
+        assert h.groups == oracle, (g, a.spec)
+        if not a.connected:  # compute_all took the cube; the Morse path agrees
+            assert morse_groups(g, a, degree_range(g, a)) == oracle, (g, a.spec)
         torsion += sum(1 for grp in h.groups.values() if grp.torsion)
         if a.connected:
             match = Matching(Cube(g, a))
@@ -246,7 +254,7 @@ def test_gradient_patterns_are_acyclic():
     # patterns over-approximates every gradient step and has no cycle.  The
     # x^3 - 1 graphs are the benchmark's; compute_all keeps them on the cube.
     graphs = [g for g in _atlas_connected_up_to_six() if g.vertex_count <= 5]
-    cases = [(g, a) for g in graphs for a in (A2, A3)]
+    cases = [(g, a) for g in graphs for a in _PROOF_ALGEBRAS + (A3,)]
     cubic = make_deformed([-1, 0, 0, 1])
     cases += [
         (g, cubic)
@@ -260,6 +268,79 @@ def test_gradient_patterns_are_acyclic():
     steps = {0: [1], 1: [2, 3], 2: [], 3: [4], 4: [1]}
     assert first_cycle_node([0], steps.get) in {1, 3, 4}
     assert first_cycle_node([0, 2], {0: [2], 2: []}.get) is None
+
+
+def test_gradient_potentials_of_the_acyclicity_proof():
+    # The two potentials of the proof in chromhom.morse, on every cell:
+    # N counts the non-unit slots, P' sums v - min K over the components K
+    # whose color is not the unit.  Matched pairs keep both.  Along d, N never
+    # rises and falls at each merge of two non-units; a step that keeps N
+    # never lowers P', raises it when a non-unit moves from slot p2 to p1,
+    # and keeps it only when it closes a cycle or has the unit in slot p2.
+    graphs = [g for g in _atlas_connected_up_to_six() if g.vertex_count <= 5]
+    steps = {"pairs": 0, "d": 0, "N falls": 0, "P' rises": 0}
+    for g in graphs:
+        for a in _PROOF_ALGEBRAS:
+            cube = Cube(g, a)
+            match = Matching(cube)
+            v = g.vertex_count
+            weights = [
+                [v - p.component_id.index(k) for k in range(p.component_count)]
+                for p in match.parts
+            ]
+
+            def potentials(s, col):
+                return (
+                    sum(1 for b in col if b),
+                    sum(w for w, b in zip(weights[s], col) if b),
+                )
+
+            for j in degree_range(g, a):
+                for i in range(g.edge_count + 1):
+                    for s, col in enumerate_basis(cube, i, j).states:
+                        n, p = potentials(s, col)
+                        st = match.status(s, unit_pattern(col))
+                        if isinstance(st, tuple):  # matched down to x
+                            x, p2, _ = st
+                            xcol = col if p2 < 0 else col[:p2] + (0,) + col[p2:]
+                            assert potentials(x, xcol) == (n, p), (g, a.spec, s, col)
+                            steps["pairs"] += 1
+                        ids = match.parts[s].component_id
+                        for e, (u, w) in enumerate(g.edges):
+                            if s >> e & 1:
+                                continue
+                            t = s | 1 << e
+                            p1, p2 = sorted((ids[u], ids[w]))
+                            if p1 == p2:
+                                targets = [col]
+                            else:
+                                rest = col[p1 + 1 : p2] + col[p2 + 1 :]
+                                targets = [
+                                    col[:p1] + (m,) + rest
+                                    for m, c in enumerate(a.mult[col[p1]][col[p2]])
+                                    if c
+                                ]
+                            for tcol in targets:
+                                nt, pt = potentials(t, tcol)
+                                steps["d"] += 1
+                                if p1 != p2 and col[p1] and col[p2]:
+                                    assert nt < n, (g, a.spec, s, col, e)
+                                    steps["N falls"] += 1
+                                    continue
+                                assert nt == n and pt >= p, (g, a.spec, s, col, e)
+                                if p1 != p2 and not col[p1] and col[p2]:
+                                    assert pt > p, (g, a.spec, s, col, e)
+                                    steps["P' rises"] += 1
+                                else:
+                                    assert pt == p, (g, a.spec, s, col, e)
+    assert min(steps.values()) > 0, steps
+
+
+def test_morse_path_past_the_benchmark_graphs():
+    # cycle(10) over trunc:3 has 2^10 subsets and 1 048 578 states; its
+    # gradient paths are the longest the suite walks.
+    g = cycle(10)
+    assert compute_all(g, A3).groups == polygon_closed_form(g, A3)
 
 
 @pytest.mark.skipif(

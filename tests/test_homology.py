@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from oracles import idempotent_times_a2
+from oracles import full_cube_groups, idempotent_times_a2
 
 from chromhom.algebra import make_deformed, make_poly_window, make_truncated
-from chromhom.complexes import Cube, IntMatrix
+from chromhom.complexes import Cube, EnhancedState, IntMatrix, per_edge_image
 from chromhom.graph import Graph, complete, cycle, path, wedge
 from chromhom.homology import (
     AbelianGroup,
@@ -25,7 +25,7 @@ from chromhom.homology import (
     morse_groups,
     poincare_series,
 )
-from chromhom.morse import Matching, unit_pattern
+from chromhom.morse import CRITICAL, UP, Matching, _Walk, unit_pattern
 
 A2 = make_truncated(2)
 A3 = make_truncated(3)
@@ -257,8 +257,9 @@ def test_morse_path_takes_connected_graded_algebras():
     assert make_deformed([0, 0, 1]).connected  # x^2 is graded
     assert not make_deformed([-1, 0, 0, 1]).connected
     assert not idempotent_times_a2().connected  # e is a degree-0 non-unit
-    with pytest.raises(ValueError):
-        morse_groups(cycle(3), make_deformed([-1, 0, 0, 1]), [0])
+    # compute_all keeps the others on the cube, but the Morse path takes them
+    cubic = make_deformed([-1, 0, 0, 1])
+    assert morse_groups(cycle(3), cubic, [0]) == full_cube_groups(cycle(3), cubic)
 
 
 @pytest.mark.parametrize("bad_i", [0, 1])
@@ -287,23 +288,75 @@ def test_verify_dd_names_the_broken_morse_slice(monkeypatch, bad_i):
 
 
 def test_morse_walk_raises_at_a_gradient_cycle(monkeypatch):
-    # Point every cell of d(c0) down at c0: R of one such cell needs R of
-    # another, which needs the first, still in progress.
+    # Match every matched-up pattern of a one-edge subset down along its
+    # edge, as if the unit rule held at slot p2.  The walk from the one
+    # critical cell of C^{0,3} then reaches a cell still in progress.
     g = complete(4)
-    match = Matching(Cube(g, A3))
-    (c0,) = match.critical(0, 3)
-    image = dict(match.image(*c0))
-    assert sum(1 for t, col in image if not match.free[t] >> unit_pattern(col) & 1) >= 2
-    real = Matching.matched_down
+    real = Matching.status
+    looped_at = []
 
-    def looped(self, t, col):
-        if (t, col) in image:
-            return c0, image[(t, col)]
-        return real(self, t, col)
+    def looped(self, t, z):
+        got = real(self, t, z)
+        if got is UP and t.bit_count() == 1:
+            looped_at.append((t, z))
+            u, w = g.edges[t.bit_length() - 1]
+            return 0, max(u, w), 1
+        return got
 
-    monkeypatch.setattr(Matching, "matched_down", looped)
+    monkeypatch.setattr(Matching, "status", looped)
     with pytest.raises(EngineError, match="gradient cycle"):
         compute_all(g, A3, j_range=[3])
+    assert looped_at
+
+
+def _brute_terms(walk, s, col, skip, scale):
+    """``_Walk.terms`` from ``per_edge_image``, each term's pattern read off
+    its coloring."""
+    g, a = walk.match.cube.g, walk.match.cube.a
+    acc, down = {}, []
+    for e in range(g.edge_count):
+        t = s | 1 << e
+        if t == s or t == skip:
+            continue
+        sign = -scale if (s & ((1 << e) - 1)).bit_count() & 1 else scale
+        for (_, tcol), c in per_edge_image(g, a, EnhancedState(s, col), e):
+            z = unit_pattern(tcol)
+            st = walk.match.status(t, z)
+            if st is CRITICAL:
+                r = walk.rows[(t, tcol)]
+                acc[r] = acc.get(r, 0) + sign * c
+            elif st is not UP:
+                down.append(((t, tcol), z, st, sign * c))
+    return acc, down
+
+
+@pytest.mark.parametrize(
+    "g, a",
+    [
+        (complete(4), A3),
+        (cycle(5), A3),
+        (complete(4), make_deformed([-1, 0, 0, 1])),
+        (cycle(4), idempotent_times_a2()),
+    ],
+)
+def test_walk_terms_carry_the_unit_pattern_of_their_coloring(monkeypatch, g, a):
+    # Every cell the walk expands, critical sources and matched-down
+    # partners alike, comes with the pattern of its coloring, and its terms
+    # are d's terms with their own patterns, less the matched-up ones.
+    real = _Walk.terms
+    seen = {"sources": 0, "partners": 0, "down terms": 0}
+
+    def checked(self, s, col, z, skip, scale):
+        assert z == unit_pattern(col), (s, col, z)
+        got = real(self, s, col, z, skip, scale)
+        assert got == _brute_terms(self, s, col, skip, scale), (s, col, skip)
+        seen["partners" if skip >= 0 else "sources"] += 1
+        seen["down terms"] += len(got[1])
+        return got
+
+    monkeypatch.setattr(_Walk, "terms", checked)
+    assert morse_groups(g, a, degree_range(g, a)) == full_cube_groups(g, a)
+    assert min(seen.values()) > 0, seen
 
 
 def test_compiled_kernel_gives_the_pure_groups(compiled_snfcore, monkeypatch):
