@@ -121,17 +121,23 @@ class IntMatrix:
 class Cube:
     """The cube of one (graph, algebra) pair and the caches its slices share.
 
-    Caches component partitions per subset, coloring counts per (component
-    count, degree), and, for one degree at a time, coloring enumerations and
-    merge blocks per (component count, merged positions); nothing is cached
-    per (subset, edge).  Enumerating colorings of a new degree forgets those
-    of the previous one.  All cached data is immutable once stored.
+    Caches component partitions in a table indexed by subset, coloring
+    counts per (component count, degree), and, for one degree at a time,
+    coloring enumerations and merge blocks per (component count, merged
+    positions); nothing is cached per (subset, edge).  The table holds one
+    shared ``ComponentPartition`` per distinct set partition (203 for the
+    2^15 subsets of K_6), and it is allocated on the first ``part`` call, so
+    a cube that only sizes slices holds none.  Enumerating colorings of a
+    new degree forgets those of the previous one.  All cached data is
+    immutable once stored.
     """
 
     def __init__(self, g: Graph, a: Algebra):
         self.g = g
         self.a = a
-        self._parts: dict[int, ComponentPartition] = {}
+        self._parts: list[ComponentPartition | None] | None = None
+        # the one shared object of each set partition, by its component ids
+        self._distinct: dict[tuple[int, ...], ComponentPartition] = {}
         self._degree: int | None = None  # the degree of _colorings and _templates
         self._colorings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._counts: dict[tuple[int, int], int] = {}
@@ -139,11 +145,25 @@ class Cube:
         self._masks_by_count: list[list[int]] | None = None
 
     def part(self, subset: int) -> ComponentPartition:
-        p = self._parts.get(subset)
+        """The partition of [G:subset], from one ``components`` call on first use."""
+        parts = self._parts
+        if parts is None:
+            parts = self._parts = [None] * (1 << self.g.edge_count)
+        if not 0 <= subset < len(parts):
+            raise ValueError("subset mask wider than edge count")
+        p = parts[subset]
         if p is None:
             p = components(self.g, subset)
-            self._parts[subset] = p
+            p = parts[subset] = self._distinct.setdefault(p.component_id, p)
         return p
+
+    def partitions(self) -> list[ComponentPartition]:
+        """The cube's own table: the partition of every subset, indexed by
+        subset, after partitioning those no ``part`` call has reached."""
+        part = self.part
+        for s in range(1 << self.g.edge_count):
+            part(s)
+        return self._parts
 
     @cached_property
     def census(self) -> list[list[int]]:

@@ -121,23 +121,20 @@ class Matching:
     """The matching of one cube, kept at the level of unit patterns.
 
     ``free[s]`` has bit z set when the cells of subset s with unit pattern z
-    are critical; ``down[t]`` lists the (edge, pattern bitset) pairs of t
-    matched down along that edge.  ``parts[s]`` is the cube's partition of s.
+    are critical; ``down[t]`` is the tuple of (edge, pattern bitset) pairs of
+    t matched down along that edge, one shared object per distinct tuple.
+    ``parts`` is the cube's table of partitions, indexed by subset.
     """
 
     def __init__(self, cube: Cube):
         self.cube = cube
         g = cube.g
         n = g.edge_count
-        by_count = cube.masks_by_count()
-        parts = [None] * (1 << n)
-        for bucket in by_count:
-            for s in bucket:
-                parts[s] = cube.part(s)
-        self.parts = parts
+        parts = self.parts = cube.partitions()
         counts = [p.component_count for p in parts]
         free = [(1 << (1 << k)) - 1 for k in counts]
-        down: dict[int, list[tuple[int, int]]] = {}
+        down: dict[int, tuple[tuple[int, int], ...]] = {}
+        shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
         spread: dict[tuple[int, int], int] = {}
         compress: dict[tuple[int, int], int] = {}
         live = range(1 << n)
@@ -173,11 +170,14 @@ class Matching:
                         m = compress[key] = _compress(hit, p2)
                     free[s] = fs ^ hit
                     free[t] = ft ^ m
-                down.setdefault(t, []).append((e, m))
+                pairs = down.get(t, ()) + ((e, m),)
+                down[t] = shared.setdefault(pairs, pairs)
             live = [s for s in live if free[s]]
         self.free = free
         self.down = down
-        self.critical_masks = [[s for s in bucket if free[s]] for bucket in by_count]
+        self.critical_masks = [
+            [s for s in bucket if free[s]] for bucket in cube.masks_by_count()
+        ]
         # (bit, bits below it, endpoints) per edge
         self._edges = [(1 << e, (1 << e) - 1, u, w) for e, (u, w) in enumerate(g.edges)]
         # the nonzero (basis index, coefficient) terms of each product b_k b_l

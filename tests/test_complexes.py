@@ -152,6 +152,35 @@ def test_cube_keeps_colorings_of_one_degree():
     assert {key[1] for key in cube._colorings} == {2}
 
 
+def test_cube_part_refuses_subsets_outside_the_cube():
+    # the partition table is indexed by subset, so a negative index must not
+    # wrap around to the full edge set; both ends raise what components does
+    g = cycle(4)
+    outside = (-1, 1 << g.edge_count)
+    for s in outside:
+        with pytest.raises(ValueError, match="subset mask wider than edge count"):
+            components(g, s)
+    cube = Cube(g, A2)
+    for _ in range(2):  # before the table exists, then with every subset in it
+        for s in outside:
+            with pytest.raises(ValueError, match="subset mask wider than edge count"):
+                cube.part(s)
+        cube.partitions()
+
+
+def test_cube_table_holds_one_object_per_set_partition():
+    # the 2^10 subsets of complete(5) reach all Bell(5) = 52 set partitions
+    # of its vertices, each held once however many subsets share it
+    g = complete(5)
+    cube = Cube(g, A2)
+    table = cube.partitions()
+    assert table is cube.partitions()
+    assert len(table) == 1 << g.edge_count
+    assert len({id(p) for p in table}) == 52
+    assert all(p == components(g, s) for s, p in enumerate(table))
+    assert cube.part(0b1011) is table[0b1011]
+
+
 def test_dd_zero_random():
     rng = random.Random(3)
     for _ in range(25):

@@ -262,6 +262,30 @@ def test_morse_path_takes_connected_graded_algebras():
     assert morse_groups(cycle(3), cubic, [0]) == full_cube_groups(cycle(3), cubic)
 
 
+def test_matching_shares_the_cube_table_and_its_down_pairs():
+    cube = Cube(complete(5), A2)
+    match = Matching(cube)
+    assert match.parts is cube.partitions()  # the cube's table, not a copy
+    values = list(match.down.values())
+    assert all(isinstance(v, tuple) and v for v in values)
+    assert len({id(v) for v in values}) == len(set(values))  # equal ones are one object
+
+
+def test_morse_path_peak_on_complete6():
+    # the bound sits between the tracemalloc peaks of the whole computation
+    # with partitions and matched-down pairs shared (3.2 MiB) and with one of
+    # each per subset (12.4 MiB)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        compute_all(complete(6), A2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 1024**2
+
+
 @pytest.mark.parametrize("bad_i", [0, 1])
 def test_verify_dd_names_the_broken_morse_slice(monkeypatch, bad_i):
     # complete(4)/trunc:3 has nonzero d_M^{0,3} and d_M^{1,3}; one flipped
