@@ -349,11 +349,12 @@ def poincare_series(h: BigradedHomology) -> dict[tuple[int, int], int]:
 
 # Bytes per item, measured on CPython 3.11 (64-bit) with the pure kernel and
 # rounded up; estimate_peak_bytes says what each one prices.
-# _SUBSET_BYTES prices the cube path.  The Morse path holds about 100 B per
-# subset: 102 B at the tracemalloc peak of building the matching of
-# complete(7) over trunc:2 (mask ints 32 B, the matched-down dict 20 B, free
-# bitsets 17 B, three per-subset lists 8 B each), and its whole computation
-# peaked at about 210 MiB of RSS for the 2^21 subsets.
+# _SUBSET_BYTES prices the cube path.  The Morse path holds about 35 B per
+# subset: 34 B at the tracemalloc peak of building the matching of
+# complete(7) over trunc:2 (four per-subset lists of 8 B a slot: free
+# bitsets, matched-down pairs, component counts and the cube's partitions,
+# whose 877 objects are shared), and its whole computation peaked at about
+# 67 MiB of RSS above the imported engine for the 2^21 subsets.
 _SUBSET_BYTES = 400
 _STATE_BYTES = 96
 _MATRIX_ENTRY_BYTES = 100
@@ -378,7 +379,7 @@ def estimate_peak_bytes(g: Graph, a: Algebra, j_range=None) -> int:
 
     It prices the cube path, so it over-bounds the Morse path that
     ``compute_all`` takes over every ``trunc:m`` and ``window:J``: 46 MiB
-    against a measured peak of about 3 MiB on complete(6) over trunc:2.
+    against a measured peak of about 1.3 MiB on complete(6) over trunc:2.
     On the cube path a slice reduces each differential as soon as it is
     built, so one matrix is live at a time.  The estimate prices (a) the
     cached partition of every edge subset, (b) every state of the requested

@@ -122,8 +122,9 @@ class Matching:
 
     ``free[s]`` has bit z set when the cells of subset s with unit pattern z
     are critical; ``down[t]`` is the tuple of (edge, pattern bitset) pairs of
-    t matched down along that edge, one shared object per distinct tuple.
-    ``parts`` is the cube's table of partitions, indexed by subset.
+    t matched down along that edge, one shared object per distinct tuple
+    (the shared ``()`` where there is none).  ``parts`` is the cube's table
+    of partitions.  All three are lists indexed by subset.
     """
 
     def __init__(self, cube: Cube):
@@ -133,7 +134,7 @@ class Matching:
         parts = self.parts = cube.partitions()
         counts = [p.component_count for p in parts]
         free = [(1 << (1 << k)) - 1 for k in counts]
-        down: dict[int, tuple[tuple[int, int], ...]] = {}
+        down: list[tuple[tuple[int, int], ...]] = [()] * (1 << n)
         shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
         spread: dict[tuple[int, int], int] = {}
         compress: dict[tuple[int, int], int] = {}
@@ -170,14 +171,16 @@ class Matching:
                         m = compress[key] = _compress(hit, p2)
                     free[s] = fs ^ hit
                     free[t] = ft ^ m
-                pairs = down.get(t, ()) + ((e, m),)
+                pairs = down[t] + ((e, m),)
                 down[t] = shared.setdefault(pairs, pairs)
             live = [s for s in live if free[s]]
         self.free = free
         self.down = down
-        self.critical_masks = [
-            [s for s in bucket if free[s]] for bucket in cube.masks_by_count()
-        ]
+        # live now holds, ascending, the subsets with a critical pattern
+        critical_masks: list[list[int]] = [[] for _ in range(n + 1)]
+        for s in live:
+            critical_masks[s.bit_count()].append(s)
+        self.critical_masks = critical_masks
         # (bit, bits below it, endpoints) per edge
         self._edges = [(1 << e, (1 << e) - 1, u, w) for e, (u, w) in enumerate(g.edges)]
         # the nonzero (basis index, coefficient) terms of each product b_k b_l
@@ -206,7 +209,7 @@ class Matching:
         under the cycle rule: the same coloring), and <dx, w> = a."""
         if self.free[t] >> z & 1:
             return CRITICAL
-        for e, bits in self.down.get(t, ()):
+        for e, bits in self.down[t]:
             if bits >> z & 1:
                 bit, below, u, w = self._edges[e]
                 s = t ^ bit

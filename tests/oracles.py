@@ -142,7 +142,7 @@ def gradient_pattern_cycle(g, a):
         return (z & ((1 << p) - 1)) | (unit << p) | ((z >> p) << (p + 1))
 
     def partner(t, z):  # the pattern (t, z) is matched down to, or None
-        for e, bits in down.get(t, ()):
+        for e, bits in down[t]:
             if bits >> z & 1:
                 s = t ^ (1 << e)
                 ids = parts[s].component_id

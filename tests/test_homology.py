@@ -266,15 +266,71 @@ def test_matching_shares_the_cube_table_and_its_down_pairs():
     cube = Cube(complete(5), A2)
     match = Matching(cube)
     assert match.parts is cube.partitions()  # the cube's table, not a copy
-    values = list(match.down.values())
+    assert len(match.down) == 1 << cube.g.edge_count  # one slot per subset
+    values = [v for v in match.down if v]
     assert all(isinstance(v, tuple) and v for v in values)
     assert len({id(v) for v in values}) == len(set(values))  # equal ones are one object
 
 
+def test_matching_buckets_its_critical_subsets_without_the_mask_table(monkeypatch):
+    # critical_masks comes from the subsets the match pass left live, not
+    # from a list of all 2^n masks; it is the same bucketed filter by free.
+    nx = pytest.importorskip("networkx")
+
+    def refuse(self):
+        raise AssertionError("Matching called Cube.masks_by_count")
+
+    monkeypatch.setattr(Cube, "masks_by_count", refuse)
+    graphs = [
+        Graph(G.number_of_nodes(), tuple(G.edges()))
+        for G in nx.graph_atlas_g()
+        if G.number_of_nodes() <= 5
+    ]
+    for g in graphs:
+        for a in (A2, A3):
+            match = Matching(Cube(g, a))
+            n = g.edge_count
+            expected = [[] for _ in range(n + 1)]
+            for s in range(1 << n):
+                if match.free[s]:
+                    expected[s.bit_count()].append(s)
+            assert match.critical_masks == expected, (g, a.spec)
+
+
+@pytest.mark.parametrize(
+    "g, a, digest",
+    [
+        (complete(4), A3, "447f38305da0c71e0539f0279230f98d31c6c7098f050669e0a17384bbc969fd"),
+        (
+            cycle(7),
+            make_poly_window(3),
+            "da055950dd866f09d5e50cd9a0a397f13ac67738b833289bf175d42bdb612c58",
+        ),
+    ],
+)
+def test_morse_path_outputs_are_pinned(g, a, digest):
+    # SHA-256 over the repr of every critical(i, j) list, then of every
+    # differential's row dicts, slice by slice: the cells, their order and
+    # every d_M entry, as they were when the pins were recorded
+    import hashlib
+
+    match = Matching(Cube(g, a))
+    h = hashlib.sha256()
+    for j in degree_range(g, a):
+        cells = [match.critical(i, j) for i in range(g.edge_count + 2)]
+        for crit in cells:
+            h.update(repr(crit).encode())
+        for i in range(g.edge_count + 1):
+            if cells[i] and cells[i + 1]:
+                h.update(repr(match.differential(cells[i], cells[i + 1]).data).encode())
+    assert h.hexdigest() == digest
+
+
 def test_morse_path_peak_on_complete6():
     # the bound sits between the tracemalloc peaks of the whole computation
-    # with partitions and matched-down pairs shared (3.2 MiB) and with one of
-    # each per subset (12.4 MiB)
+    # with the matching at one list slot per subset (1.2 MiB) and with a list
+    # of all 2^n mask ints and a dict of matched-down subsets beside it
+    # (3.2 MiB)
     import tracemalloc
 
     tracemalloc.start()
@@ -283,7 +339,7 @@ def test_morse_path_peak_on_complete6():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 1024**2
+    assert peak <= 2 * 1024**2
 
 
 @pytest.mark.parametrize("bad_i", [0, 1])
